@@ -27,6 +27,22 @@ cargo build --release --workspace
 echo "== tier-1: cargo test -q"
 cargo test -q
 
+echo "== workspace: every crate's tests, release, nothing excluded"
+# Tier-1 above tests only the root package. This tier runs every test
+# binary of every member crate (unit, integration and doc tests). Cargo's
+# own -q would hide the "Running <binary>" headers, so the quiet flag goes
+# to the test harness instead, and each binary's wall time is printed
+# from its "finished in" line: test time is a measured number too.
+WS_LOG=$(mktemp)
+cargo test --workspace --release -- --quiet 2>&1 | tee "$WS_LOG"
+echo "-- per-binary test durations (seconds)"
+awk '/^ *(Running|Doc-tests) / { name = $0; sub(/^ *(Running|Doc-tests) /, "", name)
+                                  sub(/target\/release\/deps\//, "", name); sub(/-[0-9a-f]+\)$/, ")", name) }
+     /^test result:/ { match($0, /finished in [0-9.]+s/);
+                       printf "%9s  %s\n", substr($0, RSTART + 12, RLENGTH - 13), name }' "$WS_LOG" |
+  sort -rn
+rm -f "$WS_LOG"
+
 echo "== verify: static kernel verification across the kernel x ISA matrix"
 # The generated winner for every kernel on every paper platform must pass
 # the static verifier AND the translation validator (--verify now runs

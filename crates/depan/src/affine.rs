@@ -74,7 +74,17 @@ impl AccessMap {
         let mut map = AccessMap::default();
         let mut stack = Vec::new();
         let mut pos = 0u32;
-        scan_block(&k.body, k, &mut stack, &mut pos, &mut map);
+        scan_block(&k.body, k, true, &mut stack, &mut pos, &mut map);
+        map
+    }
+
+    /// [`AccessMap::of`] without the accesses: only the loop nest, for
+    /// callers that need loop extents but no subscripts.
+    pub(crate) fn loops_of(k: &Kernel) -> AccessMap {
+        let mut map = AccessMap::default();
+        let mut stack = Vec::new();
+        let mut pos = 0u32;
+        scan_block(&k.body, k, false, &mut stack, &mut pos, &mut map);
         map
     }
 
@@ -120,6 +130,7 @@ impl AccessMap {
 fn scan_block(
     stmts: &[Stmt],
     k: &Kernel,
+    accesses: bool,
     stack: &mut Vec<Sym>,
     pos: &mut u32,
     map: &mut AccessMap,
@@ -128,6 +139,7 @@ fn scan_block(
         let here = *pos;
         *pos += 1;
         match s {
+            Stmt::Assign { .. } if !accesses => {}
             Stmt::Assign { dst, src } => {
                 if let LValue::ArrayRef { base, index } = dst {
                     push_access(map, k, *base, index, true, here, stack);
@@ -142,8 +154,10 @@ fn scan_block(
                 step,
                 body,
             } => {
-                scan_expr(init, k, here, stack, map);
-                scan_expr(bound, k, here, stack, map);
+                if accesses {
+                    scan_expr(init, k, here, stack, map);
+                    scan_expr(bound, k, here, stack, map);
+                }
                 let loop_idx = map.loops.len();
                 map.loops.push(LoopInfo {
                     var: *var,
@@ -155,12 +169,12 @@ fn scan_block(
                     enclosing: stack.clone(),
                 });
                 stack.push(*var);
-                scan_block(body, k, stack, pos, map);
+                scan_block(body, k, accesses, stack, pos, map);
                 stack.pop();
                 map.loops[loop_idx].end = *pos;
             }
             Stmt::Region { body, .. } => {
-                scan_block(body, k, stack, pos, map);
+                scan_block(body, k, accesses, stack, pos, map);
             }
             // Prefetches never change program state: no dependence.
             Stmt::Prefetch { .. } | Stmt::Comment(_) => {}
@@ -238,6 +252,20 @@ mod tests {
                 assert!(!l_loop.contains(a.pos));
             }
         }
+    }
+
+    #[test]
+    fn loop_scan_matches_the_full_scan() {
+        let k = gemm_simple();
+        let (full, loops) = (AccessMap::of(&k), AccessMap::loops_of(&k));
+        assert!(loops.accesses.is_empty());
+        let shape = |m: &AccessMap| -> Vec<(Sym, u32, u32, Vec<Sym>)> {
+            m.loops
+                .iter()
+                .map(|l| (l.var, l.pos, l.end, l.enclosing.clone()))
+                .collect()
+        };
+        assert_eq!(shape(&loops), shape(&full));
     }
 
     #[test]

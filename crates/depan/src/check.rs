@@ -31,7 +31,7 @@ use augem_transforms::{PassRecord, PrefetchConfig, SrGroup, TransformLog, Transf
 use augem_verify::{Diagnostic, Rule, Span};
 
 use crate::affine::AccessMap;
-use crate::deps::{canon, dependence_on, Verdict};
+use crate::deps::{canon, decompose, dependence_decomposed, Decomposed, Verdict};
 
 /// Replays `log` (as produced by
 /// `augem_transforms::generate_optimized_logged` on `source`) and
@@ -188,8 +188,13 @@ fn check_unroll_jam(step: &TransformStep, var: &str, factor: usize, diags: &mut 
     let trip = map.trip_of(l.var);
     let loop_vars = map.loop_vars();
     let inside: Vec<&crate::affine::Access> = map.accesses_in(l).collect();
+    // Each subscript is decomposed once, not once per pair.
+    let split: Vec<Option<Decomposed>> = inside
+        .iter()
+        .map(|a| a.index.as_ref().and_then(|f| decompose(f, &loop_vars)))
+        .collect();
     for (i, a) in inside.iter().enumerate() {
-        for b in &inside[i..] {
+        for (b, b_split) in inside[i..].iter().zip(&split[i..]) {
             if !a.write && !b.write {
                 continue;
             }
@@ -198,8 +203,8 @@ fn check_unroll_jam(step: &TransformStep, var: &str, factor: usize, diags: &mut 
             if a.origin != b.origin {
                 continue;
             }
-            let verdict = match (&a.index, &b.index) {
-                (Some(f), Some(g)) => dependence_on(l.var, f, g, &loop_vars, trip),
+            let verdict = match (&split[i], b_split) {
+                (Some(f), Some(g)) => dependence_decomposed(l.var, f, g, trip),
                 _ => Verdict::Unknown,
             };
             let word = match verdict {
@@ -390,7 +395,7 @@ fn is_pure_accumulation(s: &Stmt, acc: Sym) -> bool {
 
 fn check_strength(step: &TransformStep, groups: &[SrGroup], diags: &mut Vec<Diagnostic>) {
     let k = &step.after;
-    let map = AccessMap::of(k);
+    let map = AccessMap::loops_of(k);
     // Every self-referential pointer add `p = p + inc` in the kernel.
     let mut incs: Vec<(u32, Sym, Expr)> = Vec::new();
     walk_with_positions(&k.body, &mut |pos, s| {
@@ -523,8 +528,9 @@ fn check_scalar(
     let mut blocks: Vec<(&[Stmt], Vec<u32>)> = Vec::new();
     let mut pos = 0u32;
     collect_blocks(&k.body, &mut pos, &mut blocks);
+    let mut liveness = None;
     for (stmts, positions) in &blocks {
-        check_scalar_block(k, stmts, positions, sr_facts, diags);
+        check_scalar_block(k, stmts, positions, sr_facts, &mut liveness, diags);
     }
 }
 
@@ -547,6 +553,7 @@ fn check_scalar_block(
     stmts: &[Stmt],
     positions: &[u32],
     sr_facts: &HashMap<Sym, SrGroup>,
+    liveness: &mut Option<StoreLiveness>,
     diags: &mut Vec<Diagnostic>,
 ) {
     // Canonical index form of every top-level array store, computed
@@ -562,6 +569,7 @@ fn check_scalar_block(
             _ => None,
         })
         .collect();
+    let mut effects = None;
     for (i, s) in stmts.iter().enumerate() {
         // T008: a load grouped with a later store to the same address
         // assumes memory does not change in between.
@@ -574,7 +582,9 @@ fn check_scalar_block(
                 if let Some(j) = (i + 1..stmts.len())
                     .find(|&j| matches!(&store_forms[j], Some((b2, f2)) if b2 == base && *f2 == lf))
                 {
-                    check_load_store_gap(k, stmts, positions, i, j, *base, &lf, sr_facts, diags);
+                    let effects = effects.get_or_insert_with(|| BlockEffects::of(stmts));
+                    let gap = (effects.defs_between(i, j), effects.writes_between(i, j));
+                    check_load_store_gap(k, gap, positions[i], *base, &lf, sr_facts, diags);
                 }
             }
         }
@@ -592,7 +602,11 @@ fn check_scalar_block(
                 } if v == x => Some(expr_mentions(src, *x)),
                 _ => None,
             });
-            if clobbered == Some(true) && live_after(k, positions[i], *x) {
+            if clobbered == Some(true)
+                && liveness
+                    .get_or_insert_with(|| StoreLiveness::of(k))
+                    .live_after(positions[i], *x)
+            {
                 diags.push(Diagnostic::new(
                     Rule::ScalarClobberLive,
                     Span::Ir(positions[i]),
@@ -606,27 +620,70 @@ fn check_scalar_block(
     }
 }
 
-/// Proves no statement between the grouped load (`stmts[i]`) and store
-/// (`stmts[j]`) can change the loaded address or the memory behind it.
-#[allow(clippy::too_many_arguments)]
+/// The definitions and array writes of a block, each statement's
+/// subtree flattened in walk order behind per-statement offsets, so a
+/// load→store gap is a pair of slices instead of a fresh walk per pair.
+struct BlockEffects<'a> {
+    defs: Vec<Sym>,
+    def_at: Vec<usize>,
+    writes: Vec<Write<'a>>,
+    write_at: Vec<usize>,
+}
+
+/// An array store: base, index expression, and whether it sits inside
+/// a nested loop (where index values differ per iteration and
+/// same-point comparison is invalid).
+type Write<'a> = (Sym, &'a Expr, bool);
+
+impl<'a> BlockEffects<'a> {
+    fn of(stmts: &'a [Stmt]) -> Self {
+        let mut fx = BlockEffects {
+            defs: Vec::new(),
+            def_at: Vec::with_capacity(stmts.len() + 1),
+            writes: Vec::new(),
+            write_at: Vec::with_capacity(stmts.len() + 1),
+        };
+        for s in stmts {
+            fx.def_at.push(fx.defs.len());
+            fx.write_at.push(fx.writes.len());
+            let one = std::slice::from_ref(s);
+            collect_defs(one, &mut fx.defs);
+            collect_writes(one, false, &mut fx.writes);
+        }
+        fx.def_at.push(fx.defs.len());
+        fx.write_at.push(fx.writes.len());
+        fx
+    }
+
+    /// Definitions strictly between statements `i` and `j`.
+    fn defs_between(&self, i: usize, j: usize) -> &[Sym] {
+        &self.defs[self.def_at[i + 1]..self.def_at[j]]
+    }
+
+    /// Array writes strictly between statements `i` and `j`.
+    fn writes_between(&self, i: usize, j: usize) -> &[Write<'a>] {
+        &self.writes[self.write_at[i + 1]..self.write_at[j]]
+    }
+}
+
+/// Proves no statement in the gap between a grouped load (at canonical
+/// position `load_pos`) and its store — given as the gap's definitions
+/// and array writes — can change the loaded address or the memory
+/// behind it.
 fn check_load_store_gap(
     k: &Kernel,
-    stmts: &[Stmt],
-    positions: &[u32],
-    i: usize,
-    j: usize,
+    (defs, writes): (&[Sym], &[Write]),
+    load_pos: u32,
     base: Sym,
     index: &LinearForm,
     sr_facts: &HashMap<Sym, SrGroup>,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let span = Span::Ir(positions[i]);
+    let span = Span::Ir(load_pos);
     let bname = k.syms.name(base);
     // Address ingredients must stay fixed between load and store.
     let mut addr_syms: HashSet<Sym> = index.terms.iter().flat_map(|t| t.factors.clone()).collect();
     addr_syms.insert(base);
-    let mut defs = Vec::new();
-    collect_defs(&stmts[i + 1..j], &mut defs);
     if let Some(d) = defs.iter().find(|d| addr_syms.contains(d)) {
         diags.push(Diagnostic::new(
             Rule::ScalarMayAliasWrite,
@@ -639,21 +696,20 @@ fn check_load_store_gap(
         return;
     }
     // Intervening memory writes must target provably distinct addresses.
-    let mut writes = Vec::new();
-    collect_writes(&stmts[i + 1..j], false, &mut writes);
-    for (wbase, widx, nested) in writes {
+    let mut load_at = None;
+    for &(wbase, widx, nested) in writes {
         if k.origin_of(wbase) != k.origin_of(base) {
             continue;
         }
         let distinct = !nested
             && match (
-                absolute(base, index, sr_facts, k),
-                LinearForm::of(&widx)
+                load_at.get_or_insert_with(|| absolute(base, index, sr_facts, k)),
+                LinearForm::of(widx)
                     .map(canon)
                     .and_then(|f| absolute(wbase, &f, sr_facts, k)),
             ) {
                 (Some(a), Some(b)) => {
-                    let diff = crate::deps::canon(sub(&a, &b));
+                    let diff = crate::deps::canon(sub(a, &b));
                     matches!(diff.as_const(), Some(c) if c != 0)
                 }
                 _ => false,
@@ -684,16 +740,14 @@ fn collect_defs(stmts: &[Stmt], out: &mut Vec<Sym>) {
     }
 }
 
-/// All array stores, with the base, index expression, and whether the
-/// store sits inside a nested loop (where index values differ per
-/// iteration and same-point comparison is invalid).
-fn collect_writes(stmts: &[Stmt], nested: bool, out: &mut Vec<(Sym, Expr, bool)>) {
+/// All array stores (see [`Write`]).
+fn collect_writes<'a>(stmts: &'a [Stmt], nested: bool, out: &mut Vec<Write<'a>>) {
     for s in stmts {
         match s {
             Stmt::Assign {
                 dst: LValue::ArrayRef { base, index },
                 ..
-            } => out.push((*base, index.as_ref().clone(), nested)),
+            } => out.push((*base, index, nested)),
             Stmt::For { body, .. } => collect_writes(body, true, out),
             Stmt::Region { body, .. } => collect_writes(body, nested, out),
             _ => {}
@@ -750,44 +804,99 @@ fn sub(a: &LinearForm, b: &LinearForm) -> LinearForm {
 // liveness (backward dataflow over the structured IR)
 // ---------------------------------------------------------------------------
 
-/// Is `x` live immediately after the statement at canonical position
-/// `target`? Precise backward liveness: loop bodies are solved to a
-/// boolean fixpoint covering both the back-edge and the zero-trip exit
-/// path. Unknown positions conservatively report live.
-fn live_after(k: &Kernel, target: u32, x: Sym) -> bool {
-    locate(&k.body, 0, target, x, false).unwrap_or(true)
+/// Backward liveness of the scalars the kernel stores to memory
+/// (`A[i] = x`) — the only symbols T009 asks about — after every
+/// statement. Precise over the structured IR: loop bodies are solved to
+/// a boolean fixpoint covering both the back-edge and the zero-trip
+/// exit path. One walk answers up to 64 symbols at once, one bit each,
+/// so a kernel with many stored accumulators costs one walk rather
+/// than one walk per store.
+struct StoreLiveness {
+    /// Stored scalar → (walk, bit) of its liveness.
+    bit: HashMap<Sym, (usize, u64)>,
+    /// Per walk: the live-after mask at every canonical position.
+    after: Vec<Vec<u64>>,
 }
 
-fn locate(stmts: &[Stmt], start: u32, target: u32, x: Sym, exit_live: bool) -> Option<bool> {
-    let mut p = start;
-    for (i, s) in stmts.iter().enumerate() {
-        let size = stmt_size(s);
-        if (p..p + size).contains(&target) {
-            let after_here = transfer_block(&stmts[i + 1..], x, exit_live);
-            if target == p {
-                return Some(after_here);
+impl StoreLiveness {
+    fn of(k: &Kernel) -> StoreLiveness {
+        let mut stored = Vec::new();
+        collect_stored_scalars(&k.body, &mut stored);
+        let positions: u32 = k.body.iter().map(stmt_size).sum();
+        let mut bit = HashMap::new();
+        let mut after = Vec::new();
+        for (w, chunk) in stored.chunks(64).enumerate() {
+            let mut bits = vec![0u64; k.syms.len()];
+            for (i, &x) in chunk.iter().enumerate() {
+                bits[x.0 as usize] = 1 << i;
+                bit.insert(x, (w, 1 << i));
             }
-            return match s {
-                Stmt::For { var, body, .. } => {
-                    if *var == x {
-                        // The header redefines x every iteration; the
-                        // value after an inner statement dies at the
-                        // back-edge and the exit rebinds it too.
-                        return Some(false);
-                    }
-                    let mut l_exit = after_here;
-                    for _ in 0..2 {
-                        l_exit = after_here || transfer_block(body, x, l_exit);
-                    }
-                    locate(body, p + 1, target, x, l_exit)
-                }
-                Stmt::Region { body, .. } => locate(body, p + 1, target, x, after_here),
-                _ => None,
-            };
+            let mut masks = vec![!0u64; positions as usize];
+            solve_liveness(&k.body, 0, 0, 0, &bits, &mut masks);
+            after.push(masks);
         }
-        p += size;
+        StoreLiveness { bit, after }
     }
-    None
+
+    /// Is `x` live immediately after the statement at canonical position
+    /// `pos`? Unknown symbols and positions conservatively report live.
+    fn live_after(&self, pos: u32, x: Sym) -> bool {
+        self.bit
+            .get(&x)
+            .is_none_or(|&(w, b)| self.after[w].get(pos as usize).is_none_or(|m| m & b != 0))
+    }
+}
+
+/// Every scalar stored to memory, in first-store order.
+fn collect_stored_scalars(stmts: &[Stmt], out: &mut Vec<Sym>) {
+    for s in stmts {
+        match s {
+            Stmt::Assign {
+                dst: LValue::ArrayRef { .. },
+                src: Expr::Var(x),
+            } if !out.contains(x) => out.push(*x),
+            Stmt::For { body, .. } | Stmt::Region { body, .. } => collect_stored_scalars(body, out),
+            _ => {}
+        }
+    }
+}
+
+/// Walks `stmts` (starting at canonical position `start`) backward from
+/// `exit_live`, recording the live-after mask of every statement in
+/// `out`. `dead` masks the induction variables of enclosing loops: the
+/// header redefines such a symbol every iteration, so its value after
+/// an inner statement dies at the back-edge and the exit rebinds it.
+fn solve_liveness(
+    stmts: &[Stmt],
+    start: u32,
+    exit_live: u64,
+    dead: u64,
+    bits: &[u64],
+    out: &mut [u64],
+) {
+    let mut starts = Vec::with_capacity(stmts.len());
+    let mut p = start;
+    for s in stmts {
+        starts.push(p);
+        p += stmt_size(s);
+    }
+    let mut live = exit_live;
+    for (s, &p) in stmts.iter().zip(&starts).rev() {
+        out[p as usize] = live & !dead;
+        match s {
+            Stmt::For { var, body, .. } => {
+                let body_t = transfer_block(body, bits);
+                let l_exit = loop_exit(body_t, live);
+                solve_liveness(body, p + 1, l_exit, dead | sym_bit(*var, bits), bits, out);
+                live = loop_transfer(s, body_t, bits).apply(live);
+            }
+            Stmt::Region { body, .. } => {
+                solve_liveness(body, p + 1, live, dead, bits, out);
+                live = transfer_block(body, bits).apply(live);
+            }
+            _ => live = transfer_stmt(s, bits).apply(live),
+        }
+    }
 }
 
 fn stmt_size(s: &Stmt) -> u32 {
@@ -799,49 +908,105 @@ fn stmt_size(s: &Stmt) -> u32 {
     }
 }
 
-fn transfer_block(stmts: &[Stmt], x: Sym, live_out: bool) -> bool {
-    let mut live = live_out;
-    for s in stmts.iter().rev() {
-        live = transfer_stmt(s, x, live);
-    }
-    live
+fn sym_bit(x: Sym, bits: &[u64]) -> u64 {
+    bits.get(x.0 as usize).copied().unwrap_or(0)
 }
 
-fn transfer_stmt(s: &Stmt, x: Sym, live_out: bool) -> bool {
+/// The bits of the symbols `e` mentions (as variables or array bases).
+fn expr_bits(e: &Expr, bits: &[u64]) -> u64 {
+    match e {
+        Expr::Int(_) | Expr::F64(_) => 0,
+        Expr::Var(s) => sym_bit(*s, bits),
+        Expr::ArrayRef { base, index } => sym_bit(*base, bits) | expr_bits(index, bits),
+        Expr::Bin(_, l, r) => expr_bits(l, bits) | expr_bits(r, bits),
+    }
+}
+
+/// Bit-parallel [`stmt_mentions`].
+fn stmt_use_bits(s: &Stmt, bits: &[u64]) -> u64 {
     match s {
-        Stmt::For {
-            var,
-            init,
-            bound,
-            body,
-            ..
-        } => {
-            if expr_mentions(init, x) || expr_mentions(bound, x) {
-                return true;
-            }
-            if *var == x {
-                return false;
-            }
-            // Exit liveness of the body: back-edge re-enters the body,
-            // loop exit continues to live_out. Boolean fixpoint.
-            let mut l_exit = live_out;
-            for _ in 0..2 {
-                l_exit = live_out || transfer_block(body, x, l_exit);
-            }
-            // Zero-trip path (live_out) or first-iteration entry.
-            live_out || transfer_block(body, x, l_exit)
+        Stmt::Assign { dst, src } => {
+            let dst = match dst {
+                LValue::ArrayRef { base, index } => sym_bit(*base, bits) | expr_bits(index, bits),
+                LValue::Var(_) => 0,
+            };
+            dst | expr_bits(src, bits)
         }
-        Stmt::Region { body, .. } => transfer_block(body, x, live_out),
-        Stmt::Comment(_) => live_out,
-        _ => {
-            if stmt_mentions(s, x) {
-                true
-            } else if stmt_def(s) == Some(x) {
-                false
-            } else {
-                live_out
-            }
+        Stmt::For { init, bound, .. } => expr_bits(init, bits) | expr_bits(bound, bits),
+        Stmt::Prefetch { base, index, .. } => sym_bit(*base, bits) | expr_bits(index, bits),
+        Stmt::Region { .. } | Stmt::Comment(_) => 0,
+    }
+}
+
+/// The liveness transfer of a statement or block, per symbol bit, as a
+/// function of liveness at its exit: `live_in = gen | (pass & live_out)`.
+/// Every transfer here is monotone in `live_out`, and every monotone
+/// boolean function has this form, so a block is summarized in one walk
+/// and a loop's fixpoint iterates the summary, not the body.
+#[derive(Clone, Copy)]
+struct Transfer {
+    gen: u64,
+    pass: u64,
+}
+
+impl Transfer {
+    fn apply(self, live_out: u64) -> u64 {
+        self.gen | (self.pass & live_out)
+    }
+
+    /// `self` run first, then `later`.
+    fn then(self, later: Transfer) -> Transfer {
+        Transfer {
+            gen: self.gen | (self.pass & later.gen),
+            pass: self.pass & later.pass,
         }
+    }
+}
+
+fn transfer_block(stmts: &[Stmt], bits: &[u64]) -> Transfer {
+    let identity = Transfer { gen: 0, pass: !0 };
+    stmts.iter().rev().fold(identity, |after, s| {
+        let t = match s {
+            Stmt::For { body, .. } => loop_transfer(s, transfer_block(body, bits), bits),
+            Stmt::Region { body, .. } => transfer_block(body, bits),
+            _ => transfer_stmt(s, bits),
+        };
+        t.then(after)
+    })
+}
+
+/// A straight-line statement: a use makes the symbol live, a
+/// definition (without a use) kills it, anything else passes through.
+fn transfer_stmt(s: &Stmt, bits: &[u64]) -> Transfer {
+    let uses = stmt_use_bits(s, bits);
+    let defs = stmt_def(s).map_or(0, |d| sym_bit(d, bits));
+    Transfer {
+        gen: uses,
+        pass: uses | !defs,
+    }
+}
+
+/// Exit liveness of a loop body: the back-edge re-enters the body, the
+/// loop exit continues to `live_out`. Boolean fixpoint.
+fn loop_exit(body: Transfer, live_out: u64) -> u64 {
+    let mut l_exit = live_out;
+    for _ in 0..2 {
+        l_exit = live_out | body.apply(l_exit);
+    }
+    l_exit
+}
+
+/// A whole loop: a symbol its header bounds mention is live; otherwise
+/// its own induction variable is dead; otherwise the zero-trip path
+/// (`live_out`) or the first iteration's entry.
+fn loop_transfer(s: &Stmt, body: Transfer, bits: &[u64]) -> Transfer {
+    let header = stmt_use_bits(s, bits);
+    let var = stmt_def(s).map_or(0, |v| sym_bit(v, bits));
+    let through = |live_out: u64| live_out | body.apply(loop_exit(body, live_out));
+    let (gen, pass) = (through(0), through(!0));
+    Transfer {
+        gen: (gen & !var) | header,
+        pass: (pass & !var) | header,
     }
 }
 

@@ -118,10 +118,7 @@ fn add_forms(mut a: LinearForm, b: LinearForm) -> LinearForm {
 /// variable more than once or mixes two loop variables (non-affine in
 /// the iteration space) — callers must then treat the access as
 /// unanalyzable.
-pub fn decompose(
-    f: &LinearForm,
-    loop_vars: &[Sym],
-) -> Option<(BTreeMap<Sym, LinearForm>, LinearForm)> {
+pub fn decompose(f: &LinearForm, loop_vars: &[Sym]) -> Option<Decomposed> {
     let mut coeffs: BTreeMap<Sym, LinearForm> = BTreeMap::new();
     let mut rest = LinearForm::default();
     for t in &f.terms {
@@ -315,12 +312,27 @@ pub fn dependence_on(
     loop_vars: &[Sym],
     trip: Option<i64>,
 ) -> Verdict {
-    let (Some((fc, fr)), Some((gc, gr))) = (decompose(f, loop_vars), decompose(g, loop_vars))
-    else {
-        return Verdict::Unknown;
-    };
+    match (decompose(f, loop_vars), decompose(g, loop_vars)) {
+        (Some(fd), Some(gd)) => dependence_decomposed(v, &fd, &gd, trip),
+        _ => Verdict::Unknown,
+    }
+}
+
+/// An access subscript split by [`decompose`]: per-loop-variable
+/// coefficient forms plus the loop-invariant rest.
+pub type Decomposed = (BTreeMap<Sym, LinearForm>, LinearForm);
+
+/// [`dependence_on`] over subscripts already [`decompose`]d, so a
+/// caller testing every pair of a loop's accesses decomposes each
+/// access once rather than once per pair.
+pub(crate) fn dependence_decomposed(
+    v: Sym,
+    (fc, fr): &Decomposed,
+    (gc, gr): &Decomposed,
+    trip: Option<i64>,
+) -> Verdict {
     if fc == gc {
-        let sol = uniform_solution(&fc, &fr, &gr);
+        let sol = uniform_solution(fc, fr, gr);
         if !sol.feasible {
             return Verdict::Independent;
         }
@@ -337,7 +349,7 @@ pub fn dependence_on(
             // GCD-tested): a dependence may exist at any distance.
             _ => Verdict::Unknown,
         }
-    } else if nonuniform_independent(&fc, &fr, &gc, &gr) {
+    } else if nonuniform_independent(fc, fr, gc, gr) {
         Verdict::Independent
     } else {
         Verdict::Unknown

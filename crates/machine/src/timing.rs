@@ -301,6 +301,27 @@ mod tests {
     }
 
     #[test]
+    fn every_listed_port_exists_on_both_machines() {
+        // The timing scoreboard resolves each pc's port list once and
+        // drops ports the machine lacks; a table row naming such a port
+        // would silently lose throughput instead of failing loudly.
+        for machine in crate::MachineSpec::paper_platforms() {
+            let tm = &machine.timing;
+            for class in InstClass::ALL {
+                for mode in [SimdMode::Sse, SimdMode::Avx] {
+                    let t = tm.timing(class, mode);
+                    let at = format!("{:?} {class:?}/{mode:?}", machine.arch);
+                    assert!(t.uops >= 1, "{at}: no µops");
+                    assert!(t.ports.count() >= 1, "{at}: no ports");
+                    for p in t.ports.ports() {
+                        assert!(p < tm.num_ports, "{at}: port {p} >= {}", tm.num_ports);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn piledriver_splits_256bit_ops() {
         let avx = piledriver_timing(InstClass::FMul, SimdMode::Avx);
         let sse = piledriver_timing(InstClass::FMul, SimdMode::Sse);

@@ -99,6 +99,14 @@ impl CacheSim {
         }
     }
 
+    /// Zeroes the hit/miss counters, keeping the cache contents: the
+    /// warm regime times a pass over an already-trained cache.
+    pub fn reset_counters(&mut self) {
+        self.accesses = 0;
+        self.l1_misses = 0;
+        self.llc_misses = 0;
+    }
+
     fn line_of(&self, addr: i64) -> u64 {
         (addr as u64) >> self.levels[0].set_shift
     }

@@ -15,8 +15,12 @@
 //! step counts, `StepLimit` behavior and recorded [`Trace`] contents
 //! are bit-for-bit identical to the legacy interpreter's by
 //! construction. `tests/sim_decoded_differential.rs` proves it.
+//!
+//! The loop hands every executed step to one [`StepSink`]: nothing for
+//! the untraced run, a [`Trace`] to record it, or the timing model's
+//! scoreboard to time it as it happens.
 
-use crate::func::{MemAccess, SimError, State};
+use crate::func::{MemAccess, SimError, State, Trace};
 use augem_asm::{AsmKernel, GpOrImm, Width, XInst};
 
 const ARRAY_SHIFT: u32 = 40;
@@ -586,29 +590,44 @@ fn resolve(arrays: &[Vec<f64>], addr: i64, elems: usize) -> Result<(usize, usize
     Ok((arr, elem))
 }
 
-/// Executes a decoded program against prepared [`State`]. Semantics —
-/// step counting, trace contents, error variants — match the legacy
-/// interpreter loop exactly.
-///
-/// Dispatches to a monomorphized loop so the untraced path (the
-/// tuner's inner loop) carries no per-step trace bookkeeping at all.
-pub(crate) fn exec(
-    prog: &DecodedProgram,
-    st: &mut State,
-    step_limit: u64,
-    collect_trace: bool,
-) -> Result<(), SimError> {
-    if collect_trace {
-        exec_impl::<true>(prog, st, step_limit)
-    } else {
-        exec_impl::<false>(prog, st, step_limit)
+/// Consumer of the decoded engine's executed steps: one call per
+/// executed instruction, in execution order, with the memory access it
+/// performed. [`Trace`] records the steps; the timing model's
+/// scoreboard consumes them as they happen, so a timed run never
+/// materializes a trace.
+pub(crate) trait StepSink {
+    /// Whether the engine must compute each step's [`MemAccess`]. A
+    /// sink that ignores them lets the loop skip that bookkeeping.
+    const ACCESSES: bool = true;
+    fn step(&mut self, pc: u32, access: Option<MemAccess>);
+}
+
+/// The untraced run: no per-step work at all.
+impl StepSink for () {
+    const ACCESSES: bool = false;
+    #[inline(always)]
+    fn step(&mut self, _pc: u32, _access: Option<MemAccess>) {}
+}
+
+impl StepSink for Trace {
+    #[inline(always)]
+    fn step(&mut self, pc: u32, access: Option<MemAccess>) {
+        self.inst_indices.push(pc);
+        self.accesses.push(access);
     }
 }
 
-fn exec_impl<const TRACE: bool>(
+/// Executes a decoded program against prepared [`State`], feeding every
+/// executed step to `sink`. Semantics — step counting, recorded steps,
+/// error variants — match the legacy interpreter loop exactly.
+///
+/// Monomorphized per sink, so the untraced path (`()`) carries no
+/// per-step bookkeeping at all.
+pub(crate) fn exec<S: StepSink>(
     prog: &DecodedProgram,
     st: &mut State,
     step_limit: u64,
+    sink: &mut S,
 ) -> Result<(), SimError> {
     let ops = &prog.ops[..];
     let n = ops.len();
@@ -649,7 +668,7 @@ fn exec_impl<const TRACE: bool>(
                     d[2] = 0.0;
                     d[3] = 0.0;
                 }
-                if TRACE {
+                if S::ACCESSES {
                     access = Some(MemAccess {
                         addr,
                         bytes: (lanes * 8) as u8,
@@ -664,7 +683,7 @@ fn exec_impl<const TRACE: bool>(
                 let src = &st.arrays[arr][elem..elem + 4];
                 let d = &mut st.vec[(dst & 15) as usize];
                 *d = [src[0], src[1], src[2], src[3]];
-                if TRACE {
+                if S::ACCESSES {
                     access = Some(MemAccess {
                         addr,
                         bytes: 32,
@@ -677,7 +696,7 @@ fn exec_impl<const TRACE: bool>(
                 let addr = st.gp[(base & 15) as usize].wrapping_add(disp);
                 let (arr, elem) = resolve(&st.arrays, addr, 1).map_err(|f| f.into_error())?;
                 st.arrays[arr][elem] = st.vec[(src & 15) as usize][0];
-                if TRACE {
+                if S::ACCESSES {
                     access = Some(MemAccess {
                         addr,
                         bytes: 8,
@@ -693,7 +712,7 @@ fn exec_impl<const TRACE: bool>(
                 let d = &mut st.arrays[arr][elem..elem + 2];
                 d[0] = s[0];
                 d[1] = s[1];
-                if TRACE {
+                if S::ACCESSES {
                     access = Some(MemAccess {
                         addr,
                         bytes: 16,
@@ -711,7 +730,7 @@ fn exec_impl<const TRACE: bool>(
                 d[1] = s[1];
                 d[2] = s[2];
                 d[3] = s[3];
-                if TRACE {
+                if S::ACCESSES {
                     access = Some(MemAccess {
                         addr,
                         bytes: 32,
@@ -736,7 +755,7 @@ fn exec_impl<const TRACE: bool>(
                     d[2] = 0.0;
                     d[3] = 0.0;
                 }
-                if TRACE {
+                if S::ACCESSES {
                     access = Some(MemAccess {
                         addr,
                         bytes: 8,
@@ -750,7 +769,7 @@ fn exec_impl<const TRACE: bool>(
                 let (arr, elem) = resolve(&st.arrays, addr, 1).map_err(|f| f.into_error())?;
                 let v = st.arrays[arr][elem];
                 st.vec[(dst & 15) as usize] = [v; 4];
-                if TRACE {
+                if S::ACCESSES {
                     access = Some(MemAccess {
                         addr,
                         bytes: 8,
@@ -999,7 +1018,7 @@ fn exec_impl<const TRACE: bool>(
                 let addr = st.gp[(base & 15) as usize].wrapping_add(disp);
                 let (arr, elem) = resolve(&st.arrays, addr, 1).map_err(|f| f.into_error())?;
                 st.gp[(dst & 15) as usize] = st.arrays[arr][elem].to_bits() as i64;
-                if TRACE {
+                if S::ACCESSES {
                     access = Some(MemAccess {
                         addr,
                         bytes: 8,
@@ -1013,7 +1032,7 @@ fn exec_impl<const TRACE: bool>(
                 let v = f64::from_bits(st.gp[(src & 15) as usize] as u64);
                 let (arr, elem) = resolve(&st.arrays, addr, 1).map_err(|f| f.into_error())?;
                 st.arrays[arr][elem] = v;
-                if TRACE {
+                if S::ACCESSES {
                     access = Some(MemAccess {
                         addr,
                         bytes: 8,
@@ -1042,7 +1061,7 @@ fn exec_impl<const TRACE: bool>(
             DecodedOp::Ret => break,
             DecodedOp::Prefetch { base, write, disp } => {
                 // No architectural effect; recorded for the cache model.
-                if TRACE {
+                if S::ACCESSES {
                     let addr = st.gp[(base & 15) as usize].wrapping_add(disp);
                     access = Some(MemAccess {
                         addr,
@@ -1053,10 +1072,7 @@ fn exec_impl<const TRACE: bool>(
                 }
             }
         }
-        if TRACE {
-            st.trace.inst_indices.push(cur as u32);
-            st.trace.accesses.push(access);
-        }
+        sink.step(cur as u32, access);
         pc += 1;
     }
     Ok(())

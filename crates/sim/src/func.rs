@@ -86,7 +86,6 @@ pub(crate) struct State {
     pub(crate) vec: [[f64; 4]; 16],
     pub(crate) arrays: Vec<Vec<f64>>,
     pub(crate) cmp: (i64, i64),
-    pub(crate) trace: Trace,
 }
 
 impl State {
@@ -109,7 +108,6 @@ impl State {
             vec: [[0.0; 4]; 16],
             arrays: Vec::new(),
             cmp: (0, 0),
-            trace: Trace::default(),
         };
         for ((_, loc), arg) in kernel.params.iter().zip(args) {
             match (loc, arg) {
@@ -188,10 +186,28 @@ impl FuncSim {
         kernel: &AsmKernel,
         args: Vec<SimValue>,
     ) -> Result<(Vec<Vec<f64>>, Trace), SimError> {
+        let mut trace = Trace::default();
+        let arrays = if self.collect_trace {
+            self.run_streamed(prog, kernel, args, &mut trace)?
+        } else {
+            self.run_streamed(prog, kernel, args, &mut ())?
+        };
+        Ok((arrays, trace))
+    }
+
+    /// [`FuncSim::run_decoded`] with every executed step fed to `sink`
+    /// instead of a recorded [`Trace`] (the trace flag is ignored).
+    pub(crate) fn run_streamed<S: crate::decode::StepSink>(
+        &self,
+        prog: &crate::decode::DecodedProgram,
+        kernel: &AsmKernel,
+        args: Vec<SimValue>,
+        sink: &mut S,
+    ) -> Result<Vec<Vec<f64>>, SimError> {
         let (mut st, user_arrays) = State::setup(kernel, args)?;
-        crate::decode::exec(prog, &mut st, self.step_limit, self.collect_trace)?;
+        crate::decode::exec(prog, &mut st, self.step_limit, sink)?;
         st.arrays.truncate(user_arrays);
-        Ok((st.arrays, st.trace))
+        Ok(st.arrays)
     }
 
     /// The original string-dispatching interpreter loop, kept as the
@@ -213,6 +229,7 @@ impl FuncSim {
         }
 
         let vex = self.isa.has(IsaFeature::Avx);
+        let mut trace = Trace::default();
         let mut pc = 0usize;
         let mut steps = 0u64;
         while pc < kernel.insts.len() {
@@ -495,14 +512,14 @@ impl FuncSim {
                 XInst::Label(_) | XInst::Comment(_) => {}
             }
             if self.collect_trace {
-                st.trace.inst_indices.push(cur as u32);
-                st.trace.accesses.push(access);
+                trace.inst_indices.push(cur as u32);
+                trace.accesses.push(access);
             }
             pc += 1;
         }
 
         st.arrays.truncate(user_arrays);
-        Ok((st.arrays, st.trace))
+        Ok((st.arrays, trace))
     }
 
     fn gp_or_imm(&self, st: &State, v: GpOrImm) -> i64 {

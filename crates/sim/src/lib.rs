@@ -12,14 +12,18 @@
 //! * [`decode`] — a **pre-decoded engine**: a one-time [`decode`] pass
 //!   lowers the instruction stream into a dense, string-free
 //!   [`DecodedOp`] table (labels resolved to pc indices, VEX rules baked
-//!   in) driven by a tight dispatch loop. [`FuncSim::run`] uses it;
-//!   `FuncSim::run_legacy` keeps the original loop as the reference.
+//!   in) driven by a tight dispatch loop that hands each executed step
+//!   to one consumer: nothing, a recorded [`Trace`], or the timing
+//!   scoreboard. [`FuncSim::run`] uses it; `FuncSim::run_legacy` keeps
+//!   the original loop as the reference.
 //! * [`cache`] — a set-associative write-allocate cache simulator with a
-//!   stream prefetcher, fed by the functional simulator's memory trace.
-//! * [`timing`] — a **cycle-approximate timing model**: replays the
-//!   dynamic instruction trace through an issue-width + execution-port
-//!   scoreboard with data-dependence latencies and cache-modeled load
-//!   latencies, yielding cycles and Mflops for a kernel invocation.
+//!   stream prefetcher, fed by the executed memory accesses.
+//! * [`timing`] — a **cycle-approximate timing model**: an issue-width +
+//!   execution-port scoreboard with data-dependence latencies and
+//!   cache-modeled load latencies, yielding cycles and Mflops for a
+//!   kernel invocation. `simulate_timing*` streams the engine's steps
+//!   straight into it, with no trace in between; [`replay`] feeds it a
+//!   recorded [`Trace`] instead, with the same result.
 //!
 //! The timing model captures the first-order effects the paper's
 //! optimizations target — SIMD width, FMA fusion, false dependences from

@@ -1,13 +1,19 @@
 //! Cycle-approximate timing model.
 //!
-//! Replays the functional simulator's dynamic instruction trace through an
-//! out-of-order scoreboard: the front end delivers `issue_width`
-//! instructions per cycle into a reorder window of [`ROB_WINDOW`] entries;
-//! within the window, an instruction issues as soon as its inputs are
-//! ready and an execution port is free (register renaming is implicit —
-//! only true RAW dependences stall), and results become available after
-//! their class latency (loads: the cache simulator's latency for that
-//! address). Total cycles = completion of the last instruction.
+//! Feeds the executed instruction stream, one step at a time, through an
+//! out-of-order scoreboard. `simulate_timing*` streams the steps straight
+//! from the decoded engine as it executes — no trace is recorded — and
+//! [`replay`] / [`replay_profiled`] feed the same scoreboard from a
+//! recorded [`Trace`]. The scoreboard resolves each static pc's operands
+//! and [`augem_machine::InstTiming`] once per kernel, not per step.
+//!
+//! The model: the front end delivers `issue_width` instructions per
+//! cycle into a reorder window of [`ROB_WINDOW`] entries; within the
+//! window, an instruction issues as soon as its inputs are ready and an
+//! execution port is free (register renaming is implicit — only true RAW
+//! dependences stall), and results become available after their class
+//! latency (loads: the cache simulator's latency for that address).
+//! Total cycles = completion of the last instruction.
 //!
 //! This captures the effects the AUGEM paper's optimizations target:
 //!
@@ -18,9 +24,10 @@
 //! * software prefetch converts demand misses into hits.
 
 use crate::cache::CacheSim;
-use crate::func::{FuncSim, SimError, SimValue, Trace};
+use crate::decode::{decode, StepSink};
+use crate::func::{FuncSim, MemAccess, SimError, SimValue, Trace};
 use augem_asm::{AsmKernel, GpOrImm, XInst};
-use augem_machine::{InstClass, MachineSpec, SimdMode};
+use augem_machine::{InstClass, IsaFeature, MachineSpec, TimingModel};
 
 /// Reorder-window size: between the scheduler capacity and the reorder
 /// buffer of the modeled cores (SNB: 54-entry scheduler / 168-entry ROB;
@@ -149,12 +156,29 @@ fn gp_output(inst: &XInst) -> Option<u8> {
     }
 }
 
-/// Static per-instruction facts the replay loop needs, computed once per
-/// kernel instead of per dynamic step (`vec_uses` allocates a `Vec`;
-/// `class`/`gp_uses`/`gp_output` re-match the `XInst` every call).
+/// How a pc's dynamic instances drive the cache model.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum MemKind {
+    /// No cache traffic; the class latency applies.
+    None,
+    /// Loads and broadcasts: the cache supplies the latency.
+    Load,
+    /// Stores: write-allocate the line, class latency; also ordered
+    /// after earlier stores' issue.
+    Store,
+    /// Software prefetch: fill the line, class latency.
+    Prefetch,
+}
+
+/// Everything the scoreboard needs about one static pc, resolved once
+/// per kernel instead of per dynamic step: the register operands, the
+/// [`augem_machine::InstTiming`] row of its `(class, mode)`, and that
+/// row's port list filtered to the machine's ports.
 #[derive(Clone, Copy)]
-struct InstMeta {
-    class: Option<(InstClass, SimdMode)>,
+struct PcTiming {
+    /// Labels and comments occupy a pc but never reach the scoreboard.
+    timed: bool,
+    mem: MemKind,
     flops: u16,
     vec_uses: [u8; 3],
     n_vec: u8,
@@ -162,38 +186,62 @@ struct InstMeta {
     n_gp: u8,
     vec_def: u8,
     gp_def: u8,
+    latency: u32,
+    uops: u32,
+    ports: [u8; 8],
+    n_ports: u8,
 }
 
 const NO_REG: u8 = 0xFF;
 
-fn decode_meta(insts: &[XInst]) -> Vec<InstMeta> {
-    let mut gp_in = Vec::with_capacity(4);
-    insts
-        .iter()
-        .map(|inst| {
-            let mut m = InstMeta {
-                class: inst.class(),
-                flops: flops_of(inst) as u16,
-                vec_uses: [0; 3],
-                n_vec: 0,
-                gp_uses: [0; 2],
-                n_gp: 0,
-                vec_def: inst.vec_def().map_or(NO_REG, |r| r.0),
-                gp_def: gp_output(inst).unwrap_or(NO_REG),
+impl PcTiming {
+    fn of(inst: &XInst, timing: &TimingModel) -> Self {
+        let mut m = PcTiming {
+            timed: false,
+            mem: MemKind::None,
+            flops: flops_of(inst) as u16,
+            vec_uses: [0; 3],
+            n_vec: 0,
+            gp_uses: [0; 2],
+            n_gp: 0,
+            vec_def: inst.vec_def().map_or(NO_REG, |r| r.0),
+            gp_def: gp_output(inst).unwrap_or(NO_REG),
+            latency: 0,
+            uops: 0,
+            ports: [0; 8],
+            n_ports: 0,
+        };
+        for (i, r) in inst.vec_uses().iter().take(3).enumerate() {
+            m.vec_uses[i] = r.0;
+            m.n_vec = (i + 1) as u8;
+        }
+        let mut gp_in = Vec::with_capacity(4);
+        gp_inputs(inst, &mut gp_in);
+        for (i, &r) in gp_in.iter().take(2).enumerate() {
+            m.gp_uses[i] = r;
+            m.n_gp = (i + 1) as u8;
+        }
+        if let Some((class, mode)) = inst.class() {
+            let t = timing.timing(class, mode);
+            m.timed = true;
+            m.mem = match class {
+                InstClass::Load | InstClass::Broadcast => MemKind::Load,
+                InstClass::Store => MemKind::Store,
+                InstClass::Prefetch => MemKind::Prefetch,
+                _ => MemKind::None,
             };
-            for (i, r) in inst.vec_uses().iter().take(3).enumerate() {
-                m.vec_uses[i] = r.0;
-                m.n_vec = (i + 1) as u8;
+            m.latency = t.latency;
+            m.uops = t.uops;
+            // A listed port the machine lacks is never scheduled; the
+            // table test in `augem_machine::timing` keeps every real
+            // table's ports in range.
+            for p in t.ports.ports().filter(|&p| p < timing.num_ports) {
+                m.ports[m.n_ports as usize] = p;
+                m.n_ports += 1;
             }
-            gp_in.clear();
-            gp_inputs(inst, &mut gp_in);
-            for (i, &r) in gp_in.iter().take(2).enumerate() {
-                m.gp_uses[i] = r;
-                m.n_gp = (i + 1) as u8;
-            }
-            m
-        })
-        .collect()
+        }
+        m
+    }
 }
 
 /// Raw per-pc samples collected by a profiled replay ([`replay_profiled`]).
@@ -284,27 +332,38 @@ impl PcProfile {
     }
 }
 
-fn timed(
+/// One timed run of `kernel`, streamed: the decoded engine feeds every
+/// executed step straight into a [`Scoreboard`], so no trace is ever
+/// recorded. In the `warm` regime a first, cache-only pass over the
+/// same arguments trains the cache on the kernel's access stream.
+fn timed<const PROF: bool>(
     kernel: &AsmKernel,
     args: Vec<SimValue>,
     machine: &MachineSpec,
     warm: bool,
     step_limit: Option<u64>,
-) -> Result<(TimingReport, Vec<Vec<f64>>), SimError> {
-    let mut sim = FuncSim::new(machine.isa).with_trace();
+) -> Result<(TimingReport, PcProfile, Vec<Vec<f64>>), SimError> {
+    let mut sim = FuncSim::new(machine.isa);
     if let Some(limit) = step_limit {
         sim = sim.with_step_limit(limit);
     }
-    let (arrays, trace) = sim.run(kernel, args)?;
-    let report = replay(kernel, &trace, machine, warm);
-    Ok((report, arrays))
+    let prog = decode(kernel, machine.isa.has(IsaFeature::Avx))?;
+    let mut cache = CacheSim::new(&machine.caches);
+    if warm {
+        sim.run_streamed(&prog, kernel, args.clone(), &mut CacheWarmer(&mut cache))?;
+        cache.reset_counters();
+    }
+    let mut board = Scoreboard::<PROF>::new(kernel, machine, cache);
+    let arrays = sim.run_streamed(&prog, kernel, args, &mut board)?;
+    let (report, prof) = board.finish();
+    Ok((report, prof, arrays))
 }
 
-/// Profiled twin of the `simulate_timing*` family: runs the functional
-/// simulator with tracing, then replays through [`replay_profiled`].
+/// Profiled twin of the `simulate_timing*` family: streams the run
+/// through the profiling scoreboard ([`replay_profiled`]'s attribution).
 /// `warm` selects the steady-state (pre-warmed cache) regime and
-/// `step_limit` bounds the dynamic trace, exactly as in the unprofiled
-/// entry points.
+/// `step_limit` bounds the dynamic instruction count, exactly as in the
+/// unprofiled entry points.
 pub fn simulate_timing_profiled(
     kernel: &AsmKernel,
     args: Vec<SimValue>,
@@ -312,27 +371,32 @@ pub fn simulate_timing_profiled(
     warm: bool,
     step_limit: Option<u64>,
 ) -> Result<(TimingReport, PcProfile, Vec<Vec<f64>>), SimError> {
-    let mut sim = FuncSim::new(machine.isa).with_trace();
-    if let Some(limit) = step_limit {
-        sim = sim.with_step_limit(limit);
-    }
-    let (arrays, trace) = sim.run(kernel, args)?;
-    let (report, prof) = replay_profiled(kernel, &trace, machine, warm);
-    Ok((report, prof, arrays))
+    timed::<true>(kernel, args, machine, warm, step_limit)
 }
 
-/// Runs the functional simulator with tracing and replays the trace
-/// through the scoreboard. Returns the timing report and final arrays.
+fn timed_plain(
+    kernel: &AsmKernel,
+    args: Vec<SimValue>,
+    machine: &MachineSpec,
+    warm: bool,
+    step_limit: Option<u64>,
+) -> Result<(TimingReport, Vec<Vec<f64>>), SimError> {
+    let (report, _, arrays) = timed::<false>(kernel, args, machine, warm, step_limit)?;
+    Ok((report, arrays))
+}
+
+/// Runs the kernel with every executed instruction streamed through the
+/// scoreboard. Returns the timing report and final arrays.
 pub fn simulate_timing(
     kernel: &AsmKernel,
     args: Vec<SimValue>,
     machine: &MachineSpec,
 ) -> Result<(TimingReport, Vec<Vec<f64>>), SimError> {
-    timed(kernel, args, machine, false, None)
+    timed_plain(kernel, args, machine, false, None)
 }
 
-/// Steady-state variant: the cache is pre-warmed with the trace's own
-/// access stream before the timed replay, so cold-start misses don't
+/// Steady-state variant: the cache is pre-warmed with the run's own
+/// access stream before the timed pass, so cold-start misses don't
 /// pollute micro-kernel measurements (the tuner's view of a kernel whose
 /// packed operands already sit in cache, as in the Goto algorithm).
 pub fn simulate_timing_steady(
@@ -340,11 +404,11 @@ pub fn simulate_timing_steady(
     args: Vec<SimValue>,
     machine: &MachineSpec,
 ) -> Result<(TimingReport, Vec<Vec<f64>>), SimError> {
-    timed(kernel, args, machine, true, None)
+    timed_plain(kernel, args, machine, true, None)
 }
 
 /// [`simulate_timing`] under an explicit per-candidate instruction
-/// budget: a kernel whose dynamic trace exceeds `step_limit` instructions
+/// budget: a kernel that executes more than `step_limit` instructions
 /// fails with [`SimError::StepLimit`] instead of monopolizing the sweep
 /// (the tuner maps this to its budget-exhausted evaluation class).
 pub fn simulate_timing_budgeted(
@@ -353,7 +417,7 @@ pub fn simulate_timing_budgeted(
     machine: &MachineSpec,
     step_limit: u64,
 ) -> Result<(TimingReport, Vec<Vec<f64>>), SimError> {
-    timed(kernel, args, machine, false, Some(step_limit))
+    timed_plain(kernel, args, machine, false, Some(step_limit))
 }
 
 /// [`simulate_timing_steady`] under an explicit per-candidate budget;
@@ -364,22 +428,19 @@ pub fn simulate_timing_steady_budgeted(
     machine: &MachineSpec,
     step_limit: u64,
 ) -> Result<(TimingReport, Vec<Vec<f64>>), SimError> {
-    timed(kernel, args, machine, true, Some(step_limit))
+    timed_plain(kernel, args, machine, true, Some(step_limit))
 }
 
 /// Scoreboard replay of a recorded trace (see module docs). With `warm`,
-/// the cache is pre-trained on the access stream first.
+/// the cache is pre-trained on the access stream first. Equal to the
+/// streamed `simulate_timing*` report of the run that recorded `trace`.
 pub fn replay(
     kernel: &AsmKernel,
     trace: &Trace,
     machine: &MachineSpec,
     warm: bool,
 ) -> TimingReport {
-    // `PROF = false` monomorphizes every profiling probe away (the same
-    // pattern as `exec_impl::<TRACE>` in `decode`): the unprofiled replay
-    // is bit-for-bit and instruction-for-instruction the pre-profiler
-    // loop.
-    replay_impl::<false>(kernel, trace, machine, warm, None)
+    replay_impl::<false>(kernel, trace, machine, warm).0
 }
 
 /// [`replay`] with per-pc attribution: cycles on the critical frontier,
@@ -393,9 +454,7 @@ pub fn replay_profiled(
     machine: &MachineSpec,
     warm: bool,
 ) -> (TimingReport, PcProfile) {
-    let mut prof = PcProfile::new(kernel.insts.len(), machine.timing.num_ports as usize);
-    let report = replay_impl::<true>(kernel, trace, machine, warm, Some(&mut prof));
-    (report, prof)
+    replay_impl::<true>(kernel, trace, machine, warm)
 }
 
 fn replay_impl<const PROF: bool>(
@@ -403,136 +462,203 @@ fn replay_impl<const PROF: bool>(
     trace: &Trace,
     machine: &MachineSpec,
     warm: bool,
-    mut prof: Option<&mut PcProfile>,
-) -> TimingReport {
+) -> (TimingReport, PcProfile) {
     let mut cache = CacheSim::new(&machine.caches);
     if warm {
-        for a in trace.accesses.iter().flatten() {
+        let mut warmer = CacheWarmer(&mut cache);
+        for &a in &trace.accesses {
+            warmer.step(0, a);
+        }
+        cache.reset_counters();
+    }
+    let mut board = Scoreboard::<PROF>::new(kernel, machine, cache);
+    for (&pc, &access) in trace.inst_indices.iter().zip(&trace.accesses) {
+        board.step(pc, access);
+    }
+    board.finish()
+}
+
+/// Step sink of the warm regime's first pass: trains the cache on the
+/// access stream and times nothing.
+struct CacheWarmer<'c>(&'c mut CacheSim);
+
+impl StepSink for CacheWarmer<'_> {
+    #[inline(always)]
+    fn step(&mut self, _pc: u32, access: Option<MemAccess>) {
+        if let Some(a) = access {
             if a.prefetch {
-                cache.prefetch(a.addr);
+                self.0.prefetch(a.addr);
             } else {
-                cache.access(a.addr, a.bytes, a.write);
+                self.0.access(a.addr, a.bytes, a.write);
             }
         }
-        cache.accesses = 0;
-        cache.l1_misses = 0;
-        cache.llc_misses = 0;
     }
-    let num_ports = machine.timing.num_ports as usize;
-    let issue_width = machine.timing.issue_width.max(1) as u64;
+}
 
-    let mut vec_ready = [0u64; 16];
-    let mut gp_ready = [0u64; 16];
-    // Each port serves one µop per cycle.
-    let mut port_free = vec![0u64; num_ports];
-    let mut port_uops = vec![0u64; num_ports];
-    let mut last_complete = 0u64;
-    let mut flops = 0u64;
-    let mut dyn_insts = 0u64;
-    let mut store_ready_floor = 0u64; // stores retire in order w.r.t. loads
-                                      // Reorder window: issue cycle of each in-flight instruction, oldest
-                                      // first; an instruction cannot issue until the one `ROB_WINDOW` ahead
-                                      // of it has issued.
-    let mut window: std::collections::VecDeque<u64> =
-        std::collections::VecDeque::with_capacity(ROB_WINDOW);
+/// The out-of-order scoreboard (see module docs), fed one executed
+/// instruction at a time — live from the decoded engine or from a
+/// recorded [`Trace`]. `PROF = false` monomorphizes every profiling
+/// probe away, so the plain scoreboard pays nothing for attribution.
+struct Scoreboard<const PROF: bool> {
+    pcs: Vec<PcTiming>,
+    cache: CacheSim,
+    num_ports: usize,
+    issue_width: u64,
+    vec_ready: [u64; 16],
+    gp_ready: [u64; 16],
+    /// Next free cycle per port; each port serves one µop per cycle.
+    port_free: [u64; 8],
+    port_uops: [u64; 8],
+    /// Reorder window as a ring: issue cycle of each of the last
+    /// [`ROB_WINDOW`] instructions. `window[head]` is the oldest, so an
+    /// instruction cannot issue before it (0 until the window fills).
+    window: [u64; ROB_WINDOW],
+    head: usize,
+    last_complete: u64,
+    flops: u64,
+    dyn_insts: u64,
+    /// Stores issue in order with respect to earlier stores.
+    store_ready_floor: u64,
+    /// Per-pc attribution; empty unless `PROF`.
+    prof: PcProfile,
+}
 
-    let meta = decode_meta(&kernel.insts);
-    for (k, &idx) in trace.inst_indices.iter().enumerate() {
-        let pc = idx as usize;
-        let m = &meta[pc];
-        let Some((class, mode)) = m.class else {
-            continue;
+impl<const PROF: bool> Scoreboard<PROF> {
+    fn new(kernel: &AsmKernel, machine: &MachineSpec, cache: CacheSim) -> Self {
+        let num_ports = machine.timing.num_ports as usize;
+        Scoreboard {
+            pcs: kernel
+                .insts
+                .iter()
+                .map(|inst| PcTiming::of(inst, &machine.timing))
+                .collect(),
+            cache,
+            num_ports,
+            issue_width: u64::from(machine.timing.issue_width.max(1)),
+            vec_ready: [0; 16],
+            gp_ready: [0; 16],
+            port_free: [0; 8],
+            port_uops: [0; 8],
+            window: [0; ROB_WINDOW],
+            head: 0,
+            last_complete: 0,
+            flops: 0,
+            dyn_insts: 0,
+            store_ready_floor: 0,
+            prof: PcProfile::new(if PROF { kernel.insts.len() } else { 0 }, num_ports),
+        }
+    }
+
+    fn finish(self) -> (TimingReport, PcProfile) {
+        let mut port_uops = vec![0u64; self.num_ports];
+        for (p, n) in port_uops.iter_mut().zip(self.port_uops) {
+            *p = n;
+        }
+        let report = TimingReport {
+            cycles: self.last_complete,
+            dyn_insts: self.dyn_insts,
+            flops: self.flops,
+            mem_accesses: self.cache.accesses,
+            l1_misses: self.cache.l1_misses,
+            llc_misses: self.cache.llc_misses,
+            port_uops,
         };
-        dyn_insts += 1;
-        flops += u64::from(m.flops);
+        (report, self.prof)
+    }
+}
 
-        let t = machine.timing.timing(class, mode);
+impl<const PROF: bool> StepSink for Scoreboard<PROF> {
+    #[inline(always)]
+    fn step(&mut self, pc: u32, access: Option<MemAccess>) {
+        let pc = pc as usize;
+        let m = &self.pcs[pc];
+        if !m.timed {
+            return;
+        }
+        self.dyn_insts += 1;
+        self.flops += u64::from(m.flops);
 
         // Data readiness (true dependences only — renaming is implicit).
         let mut ready = 0u64;
         for &r in &m.vec_uses[..m.n_vec as usize] {
-            ready = ready.max(vec_ready[(r & 15) as usize]);
+            ready = ready.max(self.vec_ready[(r & 15) as usize]);
         }
         for &r in &m.gp_uses[..m.n_gp as usize] {
-            ready = ready.max(gp_ready[(r & 15) as usize]);
+            ready = ready.max(self.gp_ready[(r & 15) as usize]);
         }
-        if matches!(class, InstClass::Store) {
-            ready = ready.max(store_ready_floor);
+        if m.mem == MemKind::Store {
+            ready = ready.max(self.store_ready_floor);
         }
 
         // Front end: instruction k is fetched no earlier than k/width.
-        let fetched = (dyn_insts - 1) / issue_width;
+        let fetched = (self.dyn_insts - 1) / self.issue_width;
         // Window: wait for the instruction ROB_WINDOW back to have issued.
-        let window_floor = if window.len() >= ROB_WINDOW {
-            window.pop_front().unwrap()
-        } else {
-            0
-        };
+        let window_floor = self.window[self.head];
         let pre_port = ready.max(fetched).max(window_floor);
         let mut issue = pre_port;
 
-        // Port scheduling: each µop needs a free cycle on an allowed port.
-        for _ in 0..t.uops {
+        // Port scheduling: each µop takes the earliest free cycle on its
+        // allowed ports (lowest port on ties).
+        for _ in 0..m.uops {
             let mut best_port = None;
             let mut best_cycle = u64::MAX;
-            for p in t.ports.ports() {
-                let p = p as usize;
-                if p >= num_ports {
-                    continue;
-                }
-                let c = port_free[p].max(issue);
+            for &p in &m.ports[..m.n_ports as usize] {
+                let p = (p & 7) as usize;
+                let c = self.port_free[p].max(issue);
                 if c < best_cycle {
                     best_cycle = c;
                     best_port = Some(p);
                 }
             }
             if let Some(p) = best_port {
-                port_free[p] = best_cycle + 1;
-                port_uops[p] += 1;
+                self.port_free[p] = best_cycle + 1;
+                self.port_uops[p] += 1;
                 issue = issue.max(best_cycle);
                 if PROF {
-                    let prof = prof.as_deref_mut().unwrap();
-                    prof.port_uops[pc * num_ports + p] += 1;
+                    self.prof.port_uops[pc * self.num_ports + p] += 1;
                 }
             }
         }
-        window.push_back(issue);
+        self.window[self.head] = issue;
+        self.head = if self.head + 1 == ROB_WINDOW {
+            0
+        } else {
+            self.head + 1
+        };
 
         // Latency: loads ask the cache model.
+        let cache = &mut self.cache;
         let pre_access = if PROF {
             (cache.accesses, cache.l1_misses, cache.llc_misses)
         } else {
             (0, 0, 0)
         };
-        let access = trace.accesses[k];
-        let latency = match (class, access) {
-            (InstClass::Load | InstClass::Broadcast, Some(a)) => {
-                cache.access(a.addr, a.bytes, a.write)
-            }
-            (InstClass::Store, Some(a)) => {
+        let latency = u64::from(match (m.mem, access) {
+            (MemKind::Load, Some(a)) => cache.access(a.addr, a.bytes, a.write),
+            (MemKind::Store, Some(a)) => {
                 cache.access(a.addr, a.bytes, true);
-                t.latency
+                m.latency
             }
-            (InstClass::Prefetch, Some(a)) => {
+            (MemKind::Prefetch, Some(a)) => {
                 cache.prefetch(a.addr);
-                t.latency
+                m.latency
             }
-            _ => t.latency,
-        } as u64;
+            _ => m.latency,
+        });
 
         let complete = issue + latency;
         if PROF {
-            let prof = prof.as_deref_mut().unwrap();
+            let prof = &mut self.prof;
             prof.execs[pc] += 1;
             // Attribute the slice of the critical frontier this dynamic
             // instruction extends; the slices telescope to total cycles.
-            prof.cycles[pc] += complete.saturating_sub(last_complete);
+            prof.cycles[pc] += complete.saturating_sub(self.last_complete);
             // Stall taxonomy: which floor dominated the issue cycle, and
             // by how much it exceeded the others.
             prof.stall_dep[pc] += ready.saturating_sub(fetched.max(window_floor));
             prof.stall_front[pc] += window_floor.saturating_sub(ready.max(fetched));
             prof.stall_port[pc] += issue - pre_port;
-            prof.stall_mem[pc] += latency.saturating_sub(u64::from(t.latency));
+            prof.stall_mem[pc] += latency.saturating_sub(u64::from(m.latency));
             // Cache behavior of this access site (demand accesses only).
             let (a0, l1m0, llcm0) = pre_access;
             let demand = cache.accesses - a0;
@@ -541,26 +667,16 @@ fn replay_impl<const PROF: bool>(
             prof.l1_misses[pc] += l1m;
             prof.llc_misses[pc] += cache.llc_misses - llcm0;
         }
-        last_complete = last_complete.max(complete);
+        self.last_complete = self.last_complete.max(complete);
         if m.vec_def != NO_REG {
-            vec_ready[(m.vec_def & 15) as usize] = complete;
+            self.vec_ready[(m.vec_def & 15) as usize] = complete;
         }
         if m.gp_def != NO_REG {
-            gp_ready[(m.gp_def & 15) as usize] = complete;
+            self.gp_ready[(m.gp_def & 15) as usize] = complete;
         }
-        if matches!(class, InstClass::Store) {
-            store_ready_floor = store_ready_floor.max(issue);
+        if m.mem == MemKind::Store {
+            self.store_ready_floor = self.store_ready_floor.max(issue);
         }
-    }
-
-    TimingReport {
-        cycles: last_complete,
-        dyn_insts,
-        flops,
-        mem_accesses: cache.accesses,
-        l1_misses: cache.l1_misses,
-        llc_misses: cache.llc_misses,
-        port_uops,
     }
 }
 
