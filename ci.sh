@@ -19,6 +19,11 @@ echo "== strict clippy: analyzer crates must be panic-free (unwrap/expect)"
 # worker, so it joins the panic-free tier.
 cargo clippy -p augem-cost -p augem-prof -p augem-depan -p augem-serve --lib -- -D warnings
 
+echo "== rustdoc (-D warnings): every intra-doc link resolves"
+# A doc link to a renamed or deleted item is a warning, and this tier
+# makes it an error.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== tier-1: cargo build --release --workspace"
 # --workspace: the repo root is itself a package, so a bare `cargo build`
 # would skip member-crate binaries (augem-gen, figures) used below.

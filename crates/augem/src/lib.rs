@@ -62,16 +62,12 @@ use augem_obs::{
 use augem_prof::Profile;
 use augem_resil::{sandboxed, Injector, Site, TuneJournal};
 use augem_sim::TimingReport;
-use augem_tune::config::{GemmConfig, LoggedBuild, VectorConfig, VectorKernel};
-use augem_tune::evaluate::{
-    evaluate_gemm_cached, evaluate_vector_cached, profile_gemm_cached, profile_vector_cached,
-    EvalError, Evaluation,
+use augem_tune::config::{
+    gemm_candidates, vector_candidates, Candidate, GemmConfig, VectorConfig, VectorKernel,
 };
+use augem_tune::evaluate::{EvalError, Evaluation};
 use augem_tune::search::TuneError;
-use augem_tune::{
-    tune_gemm_cached, tune_gemm_resilient_cached, tune_vector_cached, tune_vector_resilient_cached,
-    BuildError, EvalCache, ResilOptions, TuneResult,
-};
+use augem_tune::{sweep, EvalCache, ResilOptions, TuneResult};
 use std::sync::Arc;
 
 /// A fully generated, tuned, simulated kernel.
@@ -119,12 +115,12 @@ impl std::fmt::Display for AugemError {
 impl std::error::Error for AugemError {}
 
 /// Converts a tuner result into report telemetry.
-fn telemetry_of<C>(t: &TuneResult<C>, tag: impl Fn(&C) -> String) -> TunerTelemetry {
+fn telemetry_of<C: Candidate>(t: &TuneResult<C>) -> TunerTelemetry {
     let mut telemetry = TunerTelemetry::from_ranking(
         t.ranking
             .iter()
             .map(|(c, mflops)| RankedCandidate {
-                tag: tag(c),
+                tag: c.tag(),
                 mflops: *mflops,
             })
             .collect(),
@@ -155,19 +151,28 @@ fn sim_counters(r: &TimingReport) -> SimCounters {
     }
 }
 
-/// The tuner's winning configuration, kept so the verifier can rebuild
-/// the exact same kernel with its binding log.
-#[derive(Debug, Clone)]
-enum Winner {
-    Gemm(GemmConfig),
-    Vector(VectorConfig),
+/// A tuned configuration of either kernel family, kept so the verifier
+/// can rebuild the exact same kernel with its binding log.
+type Winner = Box<dyn Candidate>;
+
+/// A finished sweep with the kernel family erased.
+struct Tuned {
+    telemetry: TunerTelemetry,
+    /// Every evaluated configuration with its Mflops, best first.
+    ranking: Vec<(Winner, f64)>,
+    best_eval: Evaluation,
 }
 
-impl Winner {
-    fn tag(&self) -> String {
-        match self {
-            Winner::Gemm(c) => c.tag(),
-            Winner::Vector(c) => c.tag(),
+impl Tuned {
+    fn new<C: Candidate + Copy + 'static>(t: TuneResult<C>) -> Self {
+        Tuned {
+            telemetry: telemetry_of(&t),
+            ranking: t
+                .ranking
+                .into_iter()
+                .map(|(c, m)| (Box::new(c) as Winner, m))
+                .collect(),
+            best_eval: t.best_eval,
         }
     }
 }
@@ -335,12 +340,25 @@ impl Augem {
         &self.cache
     }
 
-    /// The logged build for a winner, served from the cache when the
-    /// sweep already built this configuration.
-    fn logged_for(&self, w: &Winner, tracer: &dyn Tracer) -> Result<Arc<LoggedBuild>, BuildError> {
-        match w {
-            Winner::Gemm(c) => self.cache.logged_gemm(c, &self.machine, tracer),
-            Winner::Vector(c) => self.cache.logged_vector(c, &self.machine, tracer),
+    /// Sweeps `kernel`'s tuning space through this pipeline's cache.
+    fn tune(
+        &self,
+        kernel: DlaKernel,
+        opts: &ResilOptions,
+        journal: Option<&mut TuneJournal>,
+        injector: &Injector,
+        tracer: &dyn Tracer,
+    ) -> Result<Tuned, TuneError> {
+        let m = &self.machine;
+        match kernel {
+            DlaKernel::Gemm => {
+                let candidates = gemm_candidates(m);
+                sweep(candidates, m, opts, journal, injector, tracer, &self.cache).map(Tuned::new)
+            }
+            other => {
+                let candidates = vector_candidates(vector_kernel_of(other), m);
+                sweep(candidates, m, opts, journal, injector, tracer, &self.cache).map(Tuned::new)
+            }
         }
     }
 
@@ -424,26 +442,23 @@ impl Augem {
         // The sweep already built the winner; this is a cache hit, not a
         // third pipeline run.
         let logged = self
-            .logged_for(&winner, &collector)
+            .cache
+            .logged(&*winner, &self.machine, &collector)
             .map_err(|e| AugemError::Eval(EvalError::Build(e)))?;
         let mut diags =
             augem_verify::check_traced(&logged.kernel, &logged.asm, &logged.log, &collector);
         if opts.equivalence {
-            let spec = match &winner {
-                Winner::Gemm(c) => c.equiv_spec(),
-                Winner::Vector(c) => c.equiv_spec(),
-            };
             diags.extend(augem_verify::check_equivalence_traced(
                 &logged.source,
                 &logged.asm,
                 self.machine.isa,
-                &spec,
+                &winner.equiv_spec(),
                 &collector,
             ));
         }
         let profile = if opts.profile {
             Some(
-                self.profile_winner(&winner, &collector)
+                self.profile_winner(&*winner, &collector)
                     .map_err(AugemError::Eval)?,
             )
         } else {
@@ -482,7 +497,8 @@ impl Augem {
     ) -> Result<Vec<augem_verify::Diagnostic>, AugemError> {
         let (_, _, winner) = self.generate_inner(kernel, tracer)?;
         let logged = self
-            .logged_for(&winner, tracer)
+            .cache
+            .logged(&*winner, &self.machine, tracer)
             .map_err(|e| AugemError::Eval(EvalError::Build(e)))?;
         // `logged.kernel` is post-`identify` (Regions added), so the
         // log's snapshot chain ends one stage earlier: no final kernel.
@@ -506,7 +522,7 @@ impl Augem {
         let collector = Collector::new();
         let (g, tuner, winner) = self.generate_inner(kernel, &collector)?;
         let profile = self
-            .profile_winner(&winner, &collector)
+            .profile_winner(&*winner, &collector)
             .map_err(AugemError::Eval)?;
         let mut report = self.finish_report(&collector, kernel, Some(&g), Some(tuner));
         report.profile = Some(profile.summary());
@@ -518,13 +534,8 @@ impl Augem {
     /// replay is cached under `cache.profile.*` so repeated reports
     /// replay the stored attribution) and rolls the raw per-pc counters
     /// up into an [`augem_prof::Profile`].
-    fn profile_winner(&self, w: &Winner, tracer: &dyn Tracer) -> Result<Profile, EvalError> {
-        let pe = match w {
-            Winner::Gemm(c) => profile_gemm_cached(c, &self.machine, tracer, None, &self.cache)?,
-            Winner::Vector(c) => {
-                profile_vector_cached(c, &self.machine, tracer, None, &self.cache)?
-            }
-        };
+    fn profile_winner(&self, w: &dyn Candidate, tracer: &dyn Tracer) -> Result<Profile, EvalError> {
+        let pe = self.cache.profile(w, &self.machine, tracer, None)?;
         Ok(Profile::build(
             &pe.build.asm,
             &self.machine,
@@ -569,46 +580,19 @@ impl Augem {
             None => TuneJournal::in_memory(header),
         };
 
-        let tuned = match kernel {
-            DlaKernel::Gemm => tune_gemm_resilient_cached(
-                &self.machine,
-                &policy.resil,
-                &mut journal,
-                injector,
-                &collector,
-                &self.cache,
-            )
-            .map(|t| {
-                let telemetry = telemetry_of(&t, |c| c.tag());
-                let ranking: Vec<(Winner, f64)> = t
-                    .ranking
-                    .iter()
-                    .map(|(c, m)| (Winner::Gemm(*c), *m))
-                    .collect();
-                (telemetry, ranking, t.best_eval)
-            }),
-            other => tune_vector_resilient_cached(
-                vector_kernel_of(other),
-                &self.machine,
-                &policy.resil,
-                &mut journal,
-                injector,
-                &collector,
-                &self.cache,
-            )
-            .map(|t| {
-                let telemetry = telemetry_of(&t, |c| c.tag());
-                let ranking: Vec<(Winner, f64)> = t
-                    .ranking
-                    .iter()
-                    .map(|(c, m)| (Winner::Vector(*c), *m))
-                    .collect();
-                (telemetry, ranking, t.best_eval)
-            }),
-        };
-
-        let (telemetry, ranking, best_eval) = match tuned {
-            Ok(v) => v,
+        let tuned = self.tune(
+            kernel,
+            &policy.resil,
+            Some(&mut journal),
+            injector,
+            &collector,
+        );
+        let Tuned {
+            telemetry,
+            ranking,
+            best_eval,
+        } = match tuned {
+            Ok(t) => t,
             Err(e) if e.interrupted => {
                 let report = self.finish_report(&collector, kernel, None, None);
                 return DegradedResult {
@@ -643,7 +627,7 @@ impl Augem {
                 );
             }
             let known = if rank == 0 { Some(&best_eval) } else { None };
-            match self.try_winner(kernel, w, known, policy, injector, &collector) {
+            match self.try_winner(&**w, known, policy, injector, &collector) {
                 Ok((g, diags)) => {
                     let degradation = if rank == 0 {
                         Degradation::None
@@ -682,8 +666,8 @@ impl Augem {
     /// no prefetching for the vector kernels.
     fn paper_default(&self, kernel: DlaKernel) -> Winner {
         match kernel {
-            DlaKernel::Gemm => Winner::Gemm(GemmConfig::fig13()),
-            other => Winner::Vector(VectorConfig {
+            DlaKernel::Gemm => Box::new(GemmConfig::fig13()),
+            other => Box::new(VectorConfig {
                 kernel: vector_kernel_of(other),
                 unroll: self.machine.simd_mode().f64_lanes(),
                 prefetch: augem_transforms::PrefetchConfig::disabled(),
@@ -709,7 +693,7 @@ impl Augem {
             "resil.fallback",
             &[("kind", "default".into()), ("tag", tag.as_str().into())],
         );
-        match self.try_winner(kernel, &w, None, policy, injector, collector) {
+        match self.try_winner(&*w, None, policy, injector, collector) {
             Ok((g, diags)) => {
                 let report = self.finish_report(collector, kernel, Some(&g), telemetry);
                 DegradedResult {
@@ -742,8 +726,7 @@ impl Augem {
     /// the degradation chain moves on to the next fallback.
     fn try_winner(
         &self,
-        kernel: DlaKernel,
-        w: &Winner,
+        w: &dyn Candidate,
         known_eval: Option<&Evaluation>,
         policy: &DegradationPolicy,
         injector: &Injector,
@@ -754,21 +737,9 @@ impl Augem {
             Some(e) => e.clone(),
             // A next-ranked candidate was already measured by the sweep
             // under the same budget — this is an eval-cache hit.
-            None => sandboxed(|| match w {
-                Winner::Gemm(c) => evaluate_gemm_cached(
-                    c,
-                    &self.machine,
-                    collector,
-                    policy.resil.step_limit,
-                    &self.cache,
-                ),
-                Winner::Vector(c) => evaluate_vector_cached(
-                    c,
-                    &self.machine,
-                    collector,
-                    policy.resil.step_limit,
-                    &self.cache,
-                ),
+            None => sandboxed(|| {
+                self.cache
+                    .evaluate(w, &self.machine, collector, policy.resil.step_limit)
             })
             .map_err(|p| format!("evaluation panicked: {p}"))?
             .map_err(|e| format!("evaluation failed: {e}"))?,
@@ -779,20 +750,17 @@ impl Augem {
                 panic!("injected fault: verification of {tag} panicked");
             }
             let logged = self
-                .logged_for(w, collector)
+                .cache
+                .logged(w, &self.machine, collector)
                 .map_err(|e| format!("build failed: {e}"))?;
             let mut diags =
                 augem_verify::check_traced(&logged.kernel, &logged.asm, &logged.log, collector);
             if policy.verify.equivalence {
-                let spec = match w {
-                    Winner::Gemm(c) => c.equiv_spec(),
-                    Winner::Vector(c) => c.equiv_spec(),
-                };
                 diags.extend(augem_verify::check_equivalence_traced(
                     &logged.source,
                     &logged.asm,
                     self.machine.isa,
-                    &spec,
+                    &w.equiv_spec(),
                     collector,
                 ));
             }
@@ -813,7 +781,7 @@ impl Augem {
 
         Ok((
             Generated {
-                kernel,
+                kernel: w.kernel(),
                 machine: self.machine.clone(),
                 asm: logged.asm.clone(),
                 config_tag: tag,
@@ -848,65 +816,55 @@ impl Augem {
         report
     }
 
+    /// The plain sweep ([`ResilOptions::plain`]) through this pipeline's
+    /// cache, then the winner as a [`Generated`].
     fn generate_inner(
         &self,
         kernel: DlaKernel,
         tracer: &dyn Tracer,
     ) -> Result<(Generated, TunerTelemetry, Winner), AugemError> {
-        match kernel {
-            DlaKernel::Gemm => {
-                let t = tune_gemm_cached(&self.machine, tracer, &self.cache)
-                    .map_err(AugemError::Tune)?;
-                let telemetry = telemetry_of(&t, |c| c.tag());
-                // Cache hit: the sweep built the winner already; the hit
-                // replays its labels so last-write state (e.g.
-                // `opt.simd_strategy`) describes the winning config.
-                let asm = self
-                    .logged_for(&Winner::Gemm(t.best), tracer)
-                    .map_err(|e| AugemError::Eval(EvalError::Build(e)))?
-                    .asm
-                    .clone();
-                Ok((
-                    Generated {
-                        kernel,
-                        machine: self.machine.clone(),
-                        asm,
-                        config_tag: t.best.tag(),
-                        report: t.best_eval.report,
-                        mflops: t.best_eval.mflops,
-                    },
-                    telemetry,
-                    Winner::Gemm(t.best),
-                ))
-            }
-            DlaKernel::Axpy
-            | DlaKernel::Dot
-            | DlaKernel::Gemv
-            | DlaKernel::Ger
-            | DlaKernel::Scal => {
-                let vk = vector_kernel_of(kernel);
-                let t = tune_vector_cached(vk, &self.machine, tracer, &self.cache)
-                    .map_err(AugemError::Tune)?;
-                let telemetry = telemetry_of(&t, |c| c.tag());
-                let asm = self
-                    .logged_for(&Winner::Vector(t.best), tracer)
-                    .map_err(|e| AugemError::Eval(EvalError::Build(e)))?
-                    .asm
-                    .clone();
-                Ok((
-                    Generated {
-                        kernel,
-                        machine: self.machine.clone(),
-                        asm,
-                        config_tag: t.best.tag(),
-                        report: t.best_eval.report,
-                        mflops: t.best_eval.mflops,
-                    },
-                    telemetry,
-                    Winner::Vector(t.best),
-                ))
-            }
-        }
+        let t = self
+            .tune(
+                kernel,
+                &ResilOptions::plain(),
+                None,
+                &Injector::disabled(),
+                tracer,
+            )
+            .map_err(AugemError::Tune)?;
+        let (best, _) = t
+            .ranking
+            .into_iter()
+            .next()
+            .expect("a successful sweep ranks at least one candidate");
+        let g = self.generated(&*best, t.best_eval, tracer)?;
+        Ok((g, t.telemetry, best))
+    }
+
+    /// Packages a measured configuration. The build is a cache hit — the
+    /// evaluation built it already — and the hit replays its labels, so
+    /// last-write state (e.g. `opt.simd_strategy`) describes this
+    /// configuration.
+    fn generated<C: Candidate + ?Sized>(
+        &self,
+        cfg: &C,
+        eval: Evaluation,
+        tracer: &dyn Tracer,
+    ) -> Result<Generated, AugemError> {
+        let asm = self
+            .cache
+            .logged(cfg, &self.machine, tracer)
+            .map_err(|e| AugemError::Eval(EvalError::Build(e)))?
+            .asm
+            .clone();
+        Ok(Generated {
+            kernel: cfg.kernel(),
+            machine: self.machine.clone(),
+            asm,
+            config_tag: cfg.tag(),
+            report: eval.report,
+            mflops: eval.mflops,
+        })
     }
 
     /// Runs the pipeline for the paper-default configuration *without*
@@ -917,10 +875,7 @@ impl Augem {
     /// lints ([`Augem::lint_generated`]) are expected to complain
     /// about.
     pub fn generate_naive(&self, kernel: DlaKernel) -> Result<Generated, AugemError> {
-        match self.paper_default(kernel) {
-            Winner::Gemm(c) => self.generate_gemm_with(&c),
-            Winner::Vector(c) => self.generate_vector_with(&c),
-        }
+        self.generate_with(&*self.paper_default(kernel))
     }
 
     /// [`generate_naive`](Augem::generate_naive) with a run report
@@ -943,52 +898,14 @@ impl Augem {
         augem_cost::lint(&g.asm, &self.machine)
     }
 
-    /// Runs the pipeline for one explicit GEMM configuration (no tuning).
-    pub fn generate_gemm_with(&self, cfg: &GemmConfig) -> Result<Generated, AugemError> {
-        let eval = evaluate_gemm_cached(cfg, &self.machine, augem_obs::null(), None, &self.cache)
-            .map_err(AugemError::Eval)?;
-        // The evaluation above built through the cache; reuse it.
-        let asm = self
+    /// Runs the pipeline for one explicit configuration of either kernel
+    /// family (no tuning).
+    pub fn generate_with<C: Candidate + ?Sized>(&self, cfg: &C) -> Result<Generated, AugemError> {
+        let eval = self
             .cache
-            .logged_gemm(cfg, &self.machine, augem_obs::null())
-            .map_err(|e| AugemError::Eval(EvalError::Build(e)))?
-            .asm
-            .clone();
-        Ok(Generated {
-            kernel: DlaKernel::Gemm,
-            machine: self.machine.clone(),
-            asm,
-            config_tag: cfg.tag(),
-            report: eval.report,
-            mflops: eval.mflops,
-        })
-    }
-
-    /// Runs the pipeline for one explicit vector-kernel configuration.
-    pub fn generate_vector_with(&self, cfg: &VectorConfig) -> Result<Generated, AugemError> {
-        let eval = evaluate_vector_cached(cfg, &self.machine, augem_obs::null(), None, &self.cache)
+            .evaluate(cfg, &self.machine, augem_obs::null(), None)
             .map_err(AugemError::Eval)?;
-        let asm = self
-            .cache
-            .logged_vector(cfg, &self.machine, augem_obs::null())
-            .map_err(|e| AugemError::Eval(EvalError::Build(e)))?
-            .asm
-            .clone();
-        let kernel = match cfg.kernel {
-            VectorKernel::Axpy => DlaKernel::Axpy,
-            VectorKernel::Dot => DlaKernel::Dot,
-            VectorKernel::Gemv => DlaKernel::Gemv,
-            VectorKernel::Ger => DlaKernel::Ger,
-            VectorKernel::Scal => DlaKernel::Scal,
-        };
-        Ok(Generated {
-            kernel,
-            machine: self.machine.clone(),
-            asm,
-            config_tag: cfg.tag(),
-            report: eval.report,
-            mflops: eval.mflops,
-        })
+        self.generated(cfg, eval, augem_obs::null())
     }
 }
 
@@ -1127,14 +1044,17 @@ mod tests {
 
     #[test]
     fn verified_generation_builds_each_unique_config_exactly_once() {
-        let driver = Augem::new(MachineSpec::sandy_bridge());
+        let augem = Augem::new(MachineSpec::sandy_bridge());
         let collector = Collector::new();
-        let (_, tuner, winner) = driver
+        let (_, tuner, winner) = augem
             .generate_inner(DlaKernel::Axpy, &collector)
             .expect("axpy generates");
         // Winner verification on top of the traced generation: both the
         // rebuild in generate_inner and this one come from the cache.
-        driver.logged_for(&winner, &collector).unwrap();
+        augem
+            .cache
+            .logged(&*winner, &augem.machine, &collector)
+            .unwrap();
         let snap = collector.snapshot();
         // Every successful candidate built once; failures died before
         // akg or inside it, so akg spans never exceed generated count.
@@ -1161,7 +1081,7 @@ mod tests {
     fn explicit_config_path_works() {
         let driver = Augem::new(MachineSpec::piledriver());
         let g = driver
-            .generate_gemm_with(&GemmConfig {
+            .generate_with(&GemmConfig {
                 mu: 8,
                 nu: 2,
                 ..GemmConfig::fig13()

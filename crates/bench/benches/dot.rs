@@ -5,7 +5,7 @@ use augem_bench::{format_figure, Models};
 use augem_blas::Library;
 use augem_machine::MachineSpec;
 use augem_tune::config::VectorKernel;
-use augem_tune::evaluate::evaluate_vector;
+use augem_tune::EvalCache;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench(c: &mut Criterion) {
@@ -25,7 +25,12 @@ fn bench(c: &mut Criterion) {
             let eff = lib.effective_machine(&machine);
             let cfg = lib.vector_config(VectorKernel::Dot, &machine);
             group.bench_function(lib.display_name(&machine), |b| {
-                b.iter(|| evaluate_vector(&cfg, &eff).unwrap().mflops)
+                b.iter(|| {
+                    EvalCache::disabled()
+                        .evaluate(&cfg, &eff, augem_obs::null(), None)
+                        .unwrap()
+                        .mflops
+                })
             });
         }
         group.finish();

@@ -4,7 +4,7 @@
 use augem_bench::{format_figure, Models};
 use augem_blas::Library;
 use augem_machine::MachineSpec;
-use augem_tune::evaluate::evaluate_gemm;
+use augem_tune::EvalCache;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench(c: &mut Criterion) {
@@ -24,7 +24,12 @@ fn bench(c: &mut Criterion) {
             let eff = lib.effective_machine(&machine);
             let cfg = lib.gemm_config(&machine);
             group.bench_function(lib.display_name(&machine), |b| {
-                b.iter(|| evaluate_gemm(&cfg, &eff).unwrap().mflops)
+                b.iter(|| {
+                    EvalCache::disabled()
+                        .evaluate(&cfg, &eff, augem_obs::null(), None)
+                        .unwrap()
+                        .mflops
+                })
             });
         }
         group.finish();

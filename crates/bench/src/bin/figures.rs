@@ -22,7 +22,10 @@ use augem_bench::{ablations, format_figure, Models};
 use augem_kernels::DlaKernel;
 use augem_machine::MachineSpec;
 use augem_sim::{FuncSim, SimValue};
-use augem_tune::{GemmConfig, VectorConfig, VectorKernel};
+use augem_tune::{
+    gemm_candidates, vector_candidates, Candidate, EvalCache, GemmConfig, ResilOptions, TuneResult,
+    VectorConfig, VectorKernel,
+};
 use std::time::Instant;
 
 /// Runs a traced generation per kernel × platform and writes the run
@@ -489,24 +492,84 @@ fn emit_prof_report(platforms: &[MachineSpec]) -> bool {
     ok
 }
 
-/// One pruned-vs-exhaustive sweep comparison. Returns the JSON entry
-/// plus the three gate ingredients: winner preservation, the prune
-/// rate, and the bound phase's share of the exhaustive sweep's wall
-/// time.
-#[allow(clippy::too_many_arguments)]
-fn cost_entry(
-    kernel: &str,
+/// The six kernel families of the cost and depan benches, in report
+/// order: GEMM, then the vector kernels.
+const VECTOR_KERNELS: [VectorKernel; 5] = [
+    VectorKernel::Axpy,
+    VectorKernel::Dot,
+    VectorKernel::Gemv,
+    VectorKernel::Ger,
+    VectorKernel::Scal,
+];
+
+/// One timed exhaustive sweep and one timed sweep under `opts` (through
+/// a fresh cache) over the same candidates: the comparison behind the
+/// cost and depan benches. `Err` describes whichever sweep failed.
+#[allow(clippy::type_complexity)]
+fn sweep_pair<C: Candidate + Copy>(
+    candidates: Vec<C>,
     machine: &MachineSpec,
-    exhaustive_s: f64,
-    pruned_s: f64,
-    plain_tag: String,
-    plain_cycles: u64,
-    pruned_res: (&str, u64),
-    stats: &augem_tune::PruneStats,
-    tightness: &[(String, f64)],
-) -> (Json, bool, f64, f64) {
-    let (pruned_tag, pruned_cycles) = pruned_res;
-    let winner_preserved = plain_tag == pruned_tag && plain_cycles == pruned_cycles;
+    opts: &ResilOptions,
+) -> Result<((TuneResult<C>, f64), (TuneResult<C>, f64)), String> {
+    let timed = |opts: &ResilOptions, cache: &EvalCache| {
+        let t0 = Instant::now();
+        let r = augem_tune::sweep(
+            candidates.clone(),
+            machine,
+            opts,
+            None,
+            &augem::resil::Injector::disabled(),
+            augem::obs::null(),
+            cache,
+        );
+        r.map(|r| (r, t0.elapsed().as_secs_f64()))
+            .map_err(|e| e.to_string())
+    };
+    let kernel = candidates.first().map_or("?", |c| c.kernel().name());
+    match (
+        timed(&ResilOptions::plain(), &EvalCache::disabled()),
+        timed(opts, &EvalCache::new()),
+    ) {
+        (Ok(plain), Ok(with)) => Ok((plain, with)),
+        (plain, with) => Err(format!(
+            "{kernel} sweep failed on {}: plain={:?} with options={:?}",
+            machine.arch.short_name(),
+            plain.err(),
+            with.err()
+        )),
+    }
+}
+
+/// Did the sweep under options keep the exhaustive winner, down to its
+/// simulated cycles?
+fn winner_preserved<C: Candidate>(plain: &TuneResult<C>, with: &TuneResult<C>) -> bool {
+    plain.best.tag() == with.best.tag()
+        && plain.best_eval.report.cycles == with.best_eval.report.cycles
+}
+
+/// One pruned-vs-exhaustive sweep comparison. Returns the JSON entry
+/// plus the gate ingredients: winner preservation, the prune rate, the
+/// bound phase's seconds and the exhaustive sweep's seconds. `naive` is
+/// an extra configuration whose bound tightness is reported next to
+/// the winner's.
+fn cost_sweep<C: Candidate + Copy>(
+    candidates: Vec<C>,
+    machine: &MachineSpec,
+    naive: Option<C>,
+) -> Result<(Json, bool, f64, f64, f64), String> {
+    let opts = ResilOptions {
+        prune: true,
+        ..ResilOptions::plain()
+    };
+    let ((plain, exhaustive_s), (pruned, pruned_s)) = sweep_pair(candidates, machine, &opts)?;
+    let stats = pruned.stats;
+    let kernel = pruned.best.kernel().name();
+    let tightness: Vec<(String, f64)> = naive
+        .iter()
+        .chain([&pruned.best])
+        .filter_map(|c| tightness(c, machine))
+        .collect();
+    let preserved = winner_preserved(&plain, &pruned);
     let prune_rate = stats.pruned as f64 / stats.analyzed.max(1) as f64;
     let bound_s = stats.bound_ns as f64 / 1e9;
     let bound_frac = bound_s / exhaustive_s.max(1e-12);
@@ -521,12 +584,12 @@ fn cost_entry(
         pruned_s * 1e3,
         bound_s * 1e3,
         bound_frac * 100.0,
-        if winner_preserved { "" } else { "  WINNER CHANGED" },
+        if preserved { "" } else { "  WINNER CHANGED" },
     );
     let entry = Json::obj(vec![
         ("kernel", Json::str(kernel)),
         ("machine", Json::str(machine.arch.short_name())),
-        ("generated", Json::uint(stats.generated as u64)),
+        ("generated", Json::uint(pruned.generated as u64)),
         ("analyzed", Json::uint(stats.analyzed as u64)),
         ("pruned", Json::uint(stats.pruned as u64)),
         ("evaluated", Json::uint(stats.evaluated as u64)),
@@ -535,8 +598,8 @@ fn cost_entry(
         ("pruned_sweep_s", Json::Num(pruned_s)),
         ("bound_phase_s", Json::Num(bound_s)),
         ("bound_phase_frac_of_sweep", Json::Num(bound_frac)),
-        ("winner", Json::str(pruned_tag)),
-        ("winner_preserved", Json::Bool(winner_preserved)),
+        ("winner", Json::str(pruned.best.tag())),
+        ("winner_preserved", Json::Bool(preserved)),
         (
             "tightness",
             Json::Arr(
@@ -552,27 +615,22 @@ fn cost_entry(
             ),
         ),
     ]);
-    (entry, winner_preserved, prune_rate, bound_frac)
+    Ok((entry, preserved, prune_rate, bound_s, exhaustive_s))
 }
 
 /// Bound tightness (static bound / simulated cycles) for one built
-/// gemm or vector configuration; `None` when the shape cannot build.
-fn gemm_tightness(cfg: &GemmConfig, machine: &MachineSpec) -> Option<(String, f64)> {
-    let asm = cfg.build_traced(machine, augem::obs::null()).ok()?;
-    let (args, _) = augem_tune::gemm_eval_args(cfg);
+/// configuration, timed in its own cache regime; `None` when the shape
+/// cannot build.
+fn tightness<C: Candidate>(cfg: &C, machine: &MachineSpec) -> Option<(String, f64)> {
+    let asm = cfg.build(machine).ok()?;
+    let (args, _) = cfg.eval_args();
     let r = augem::cost::analyze(&asm, &args, machine).ok()?;
-    let (t, _) = augem_sim::simulate_timing_steady(&asm, args, machine).ok()?;
-    Some((
-        cfg.tag(),
-        r.lower_bound_cycles as f64 / t.cycles.max(1) as f64,
-    ))
-}
-
-fn vector_tightness(cfg: &VectorConfig, machine: &MachineSpec) -> Option<(String, f64)> {
-    let asm = cfg.build_traced(machine, augem::obs::null()).ok()?;
-    let (args, _) = augem_tune::vector_eval_args(cfg);
-    let r = augem::cost::analyze(&asm, &args, machine).ok()?;
-    let (t, _) = augem_sim::simulate_timing(&asm, args, machine).ok()?;
+    let (t, _) = if cfg.warm_cache() {
+        augem_sim::simulate_timing_steady(&asm, args, machine)
+    } else {
+        augem_sim::simulate_timing(&asm, args, machine)
+    }
+    .ok()?;
     Some((
         cfg.tag(),
         r.lower_bound_cycles as f64 / t.cycles.max(1) as f64,
@@ -598,89 +656,21 @@ fn emit_cost_report(platforms: &[MachineSpec]) -> bool {
     let mut best_rate = 0.0f64;
 
     for machine in platforms {
-        // GEMM.
-        let t0 = Instant::now();
-        let plain = augem_tune::tune_gemm(machine);
-        let exhaustive_s = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let pruned = augem_tune::tune_gemm_pruned(machine);
-        let pruned_s = t1.elapsed().as_secs_f64();
-        match (plain, pruned) {
-            (Ok(plain), Ok((pruned, stats))) => {
-                let mut tightness = Vec::new();
-                tightness.extend(gemm_tightness(&GemmConfig::fig13(), machine));
-                tightness.extend(gemm_tightness(&pruned.best, machine));
-                let (entry, ok, rate, _frac) = cost_entry(
-                    "dgemm",
-                    machine,
-                    exhaustive_s,
-                    pruned_s,
-                    plain.best.tag(),
-                    plain.best_eval.report.cycles,
-                    (&pruned.best.tag(), pruned.best_eval.report.cycles),
-                    &stats,
-                    &tightness,
-                );
-                entries.push(entry);
-                winners_ok &= ok;
-                total_bound_s += stats.bound_ns as f64 / 1e9;
-                total_exhaustive_s += exhaustive_s;
-                best_rate = best_rate.max(rate);
-            }
-            (plain, pruned) => {
-                eprintln!(
-                    "cost bench: gemm sweep failed on {}: plain={:?} pruned={:?}",
-                    machine.arch.short_name(),
-                    plain.err(),
-                    pruned.err()
-                );
-                winners_ok = false;
-            }
-        }
-
-        // Vector kernels.
-        for vk in [
-            VectorKernel::Axpy,
-            VectorKernel::Dot,
-            VectorKernel::Gemv,
-            VectorKernel::Ger,
-            VectorKernel::Scal,
-        ] {
-            let t0 = Instant::now();
-            let plain = augem_tune::tune_vector(vk, machine);
-            let exhaustive_s = t0.elapsed().as_secs_f64();
-            let t1 = Instant::now();
-            let pruned = augem_tune::tune_vector_pruned(vk, machine);
-            let pruned_s = t1.elapsed().as_secs_f64();
-            match (plain, pruned) {
-                (Ok(plain), Ok((pruned, stats))) => {
-                    let mut tightness = Vec::new();
-                    tightness.extend(vector_tightness(&pruned.best, machine));
-                    let (entry, ok, rate, _frac) = cost_entry(
-                        vk.name(),
-                        machine,
-                        exhaustive_s,
-                        pruned_s,
-                        plain.best.tag(),
-                        plain.best_eval.report.cycles,
-                        (&pruned.best.tag(), pruned.best_eval.report.cycles),
-                        &stats,
-                        &tightness,
-                    );
+        let gemm = cost_sweep(gemm_candidates(machine), machine, Some(GemmConfig::fig13()));
+        let vector = VECTOR_KERNELS
+            .iter()
+            .map(|&vk| cost_sweep(vector_candidates(vk, machine), machine, None));
+        for sweep in std::iter::once(gemm).chain(vector) {
+            match sweep {
+                Ok((entry, ok, rate, bound_s, exhaustive_s)) => {
                     entries.push(entry);
                     winners_ok &= ok;
-                    total_bound_s += stats.bound_ns as f64 / 1e9;
+                    total_bound_s += bound_s;
                     total_exhaustive_s += exhaustive_s;
                     best_rate = best_rate.max(rate);
                 }
-                (plain, pruned) => {
-                    eprintln!(
-                        "cost bench: {} sweep failed on {}: plain={:?} pruned={:?}",
-                        vk.name(),
-                        machine.arch.short_name(),
-                        plain.err(),
-                        pruned.err()
-                    );
+                Err(why) => {
+                    eprintln!("cost bench: {why}");
                     winners_ok = false;
                 }
             }
@@ -722,18 +712,21 @@ fn emit_cost_report(platforms: &[MachineSpec]) -> bool {
     ok
 }
 
-/// One legality-checked sweep's JSON entry plus its gate ingredients.
-/// `plain` and `checked` are each sweep's `(winner tag, winner cycles)`.
-fn depan_entry(
-    kernel: &str,
+/// One legality-checked sweep's JSON entry plus its gate ingredients:
+/// winner preservation, zero rejections, the legality phase's seconds
+/// and the checked sweep's seconds.
+fn depan_sweep<C: Candidate + Copy>(
+    candidates: Vec<C>,
     machine: &MachineSpec,
-    plain: (&str, u64),
-    checked: (&str, u64),
-    sweep_s: f64,
-    stats: &augem_tune::DepanStats,
-) -> (Json, bool, bool) {
-    let (checked_tag, checked_cycles) = checked;
-    let winner_preserved = plain.0 == checked_tag && plain.1 == checked_cycles;
+) -> Result<(Json, bool, bool, f64, f64), String> {
+    let opts = ResilOptions {
+        check_legality: true,
+        ..ResilOptions::plain()
+    };
+    let ((plain, _), (checked, sweep_s)) = sweep_pair(candidates, machine, &opts)?;
+    let stats = checked.stats;
+    let kernel = checked.best.kernel().name();
+    let preserved = winner_preserved(&plain, &checked);
     let no_rejections = stats.rejected == 0;
     let check_s = stats.check_ns as f64 / 1e9;
     let check_frac = check_s / sweep_s.max(1e-12);
@@ -742,27 +735,27 @@ fn depan_entry(
         kernel,
         machine.arch.short_name(),
         stats.checked,
-        stats.generated,
+        checked.generated,
         stats.rejected,
         check_s * 1e3,
         sweep_s * 1e3,
         check_frac * 100.0,
-        if winner_preserved { "" } else { "  WINNER CHANGED" },
+        if preserved { "" } else { "  WINNER CHANGED" },
         if no_rejections { "" } else { "  FALSE REJECTION" },
     );
     let entry = Json::obj(vec![
         ("kernel", Json::str(kernel)),
         ("machine", Json::str(machine.arch.short_name())),
-        ("generated", Json::uint(stats.generated as u64)),
+        ("generated", Json::uint(checked.generated as u64)),
         ("checked", Json::uint(stats.checked as u64)),
         ("rejected", Json::uint(stats.rejected as u64)),
         ("check_phase_s", Json::Num(check_s)),
         ("sweep_s", Json::Num(sweep_s)),
         ("check_frac_of_sweep", Json::Num(check_frac)),
-        ("winner", Json::str(checked_tag)),
-        ("winner_preserved", Json::Bool(winner_preserved)),
+        ("winner", Json::str(checked.best.tag())),
+        ("winner_preserved", Json::Bool(preserved)),
     ]);
-    (entry, winner_preserved, no_rejections)
+    Ok((entry, preserved, no_rejections, check_s, sweep_s))
 }
 
 /// Benchmarks the depan transform-legality filter and writes
@@ -783,74 +776,21 @@ fn emit_depan_report(platforms: &[MachineSpec]) -> bool {
     let mut total_sweep_s = 0.0f64;
 
     for machine in platforms {
-        // GEMM.
-        let plain = augem_tune::tune_gemm(machine);
-        let t0 = Instant::now();
-        let checked = augem_tune::tune_gemm_checked(machine);
-        let sweep_s = t0.elapsed().as_secs_f64();
-        match (plain, checked) {
-            (Ok(plain), Ok((checked, stats))) => {
-                let (entry, wok, rok) = depan_entry(
-                    "dgemm",
-                    machine,
-                    (&plain.best.tag(), plain.best_eval.report.cycles),
-                    (&checked.best.tag(), checked.best_eval.report.cycles),
-                    sweep_s,
-                    &stats,
-                );
-                entries.push(entry);
-                winners_ok &= wok;
-                rejections_ok &= rok;
-                total_check_s += stats.check_ns as f64 / 1e9;
-                total_sweep_s += sweep_s;
-            }
-            (plain, checked) => {
-                eprintln!(
-                    "depan bench: gemm sweep failed on {}: plain={:?} checked={:?}",
-                    machine.arch.short_name(),
-                    plain.err(),
-                    checked.err()
-                );
-                rejections_ok = false;
-            }
-        }
-
-        // Vector kernels.
-        for vk in [
-            VectorKernel::Axpy,
-            VectorKernel::Dot,
-            VectorKernel::Gemv,
-            VectorKernel::Ger,
-            VectorKernel::Scal,
-        ] {
-            let plain = augem_tune::tune_vector(vk, machine);
-            let t0 = Instant::now();
-            let checked = augem_tune::tune_vector_checked(vk, machine);
-            let sweep_s = t0.elapsed().as_secs_f64();
-            match (plain, checked) {
-                (Ok(plain), Ok((checked, stats))) => {
-                    let (entry, wok, rok) = depan_entry(
-                        vk.name(),
-                        machine,
-                        (&plain.best.tag(), plain.best_eval.report.cycles),
-                        (&checked.best.tag(), checked.best_eval.report.cycles),
-                        sweep_s,
-                        &stats,
-                    );
+        let gemm = depan_sweep(gemm_candidates(machine), machine);
+        let vector = VECTOR_KERNELS
+            .iter()
+            .map(|&vk| depan_sweep(vector_candidates(vk, machine), machine));
+        for sweep in std::iter::once(gemm).chain(vector) {
+            match sweep {
+                Ok((entry, wok, rok, check_s, sweep_s)) => {
                     entries.push(entry);
                     winners_ok &= wok;
                     rejections_ok &= rok;
-                    total_check_s += stats.check_ns as f64 / 1e9;
+                    total_check_s += check_s;
                     total_sweep_s += sweep_s;
                 }
-                (plain, checked) => {
-                    eprintln!(
-                        "depan bench: {} sweep failed on {}: plain={:?} checked={:?}",
-                        vk.name(),
-                        machine.arch.short_name(),
-                        plain.err(),
-                        checked.err()
-                    );
+                Err(why) => {
+                    eprintln!("depan bench: {why}");
                     rejections_ok = false;
                 }
             }
@@ -1211,72 +1151,53 @@ fn emit_serve_report(platforms: &[MachineSpec]) -> bool {
     ok
 }
 
+/// A `BENCH_*.json` writer over the paper platforms; it returns its CI
+/// gate, and `false` exits 1.
+type Writer = fn(&[MachineSpec]) -> bool;
+
+/// The writers, each run when named or under `all`.
+const WRITERS: [(&str, Writer); 7] = [
+    ("pipeline", |p| {
+        emit_pipeline_reports(p);
+        true
+    }),
+    ("verify", |p| {
+        emit_verify_reports(p);
+        true
+    }),
+    ("tune", emit_tune_report),
+    ("prof", emit_prof_report),
+    ("cost", emit_cost_report),
+    ("depan", emit_depan_report),
+    ("serve", emit_serve_report),
+];
+
+/// What the figure and table printers answer to; no arguments at all
+/// prints every one of them.
+const PRINTED: [&str; 7] = [
+    "fig18",
+    "fig19",
+    "fig20",
+    "fig21",
+    "table6",
+    "ablations",
+    "all",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name || a == "all");
+    let named = |name: &str| args.iter().any(|a| a == name);
+    let want = |name: &str| args.is_empty() || named(name) || named("all");
 
     let platforms = MachineSpec::paper_platforms();
 
-    if want("pipeline") && args.iter().any(|a| a == "pipeline" || a == "all") {
-        emit_pipeline_reports(&platforms);
-        if args.iter().all(|a| a == "pipeline") {
-            return;
-        }
-    }
-
-    if want("verify") && args.iter().any(|a| a == "verify" || a == "all") {
-        emit_verify_reports(&platforms);
-        if args.iter().all(|a| a == "verify") {
-            return;
-        }
-    }
-
-    if want("tune") && args.iter().any(|a| a == "tune" || a == "all") {
-        if !emit_tune_report(&platforms) {
+    for (name, write) in WRITERS {
+        if (named(name) || named("all")) && !write(&platforms) {
             std::process::exit(1);
         }
-        if args.iter().all(|a| a == "tune") {
-            return;
-        }
     }
 
-    if want("prof") && args.iter().any(|a| a == "prof" || a == "all") {
-        if !emit_prof_report(&platforms) {
-            std::process::exit(1);
-        }
-        if args.iter().all(|a| a == "prof") {
-            return;
-        }
-    }
-
-    if want("cost") && args.iter().any(|a| a == "cost" || a == "all") {
-        if !emit_cost_report(&platforms) {
-            std::process::exit(1);
-        }
-        if args.iter().all(|a| a == "cost") {
-            return;
-        }
-    }
-
-    if want("depan") && args.iter().any(|a| a == "depan" || a == "all") {
-        if !emit_depan_report(&platforms) {
-            std::process::exit(1);
-        }
-        if args.iter().all(|a| a == "depan") {
-            return;
-        }
-    }
-
-    if want("serve") && args.iter().any(|a| a == "serve" || a == "all") {
-        if !emit_serve_report(&platforms) {
-            std::process::exit(1);
-        }
-        if args.iter().all(|a| a == "serve") {
-            return;
-        }
-    }
-
-    if want("asm") && args.iter().any(|a| a == "asm") {
+    if named("asm") {
         for machine in &platforms {
             let driver = Augem::new(machine.clone());
             for k in DlaKernel::ALL {
@@ -1291,14 +1212,15 @@ fn main() {
                 println!("{}", g.assembly_text());
             }
         }
-        if args.len() == 1 {
-            return;
-        }
     }
 
-    let needs_models = ["fig18", "fig19", "fig20", "fig21", "table6", "all"]
+    if !args.is_empty() && !PRINTED.iter().any(|p| named(p)) {
+        return;
+    }
+
+    let needs_models = ["fig18", "fig19", "fig20", "fig21", "table6"]
         .iter()
-        .any(|f| want(f) && (args.is_empty() || args.iter().any(|a| a == f || a == "all")));
+        .any(|f| want(f));
 
     for machine in &platforms {
         println!("==================================================================");

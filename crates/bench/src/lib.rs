@@ -15,7 +15,7 @@ use augem_machine::MachineSpec;
 use augem_opt::{FmaPolicy, StrategyPref};
 use augem_transforms::PrefetchConfig;
 use augem_tune::config::GemmConfig;
-use augem_tune::evaluate::evaluate_gemm;
+use augem_tune::EvalCache;
 
 /// Matrix sizes of Figure 18 / Table 6 Level-3 sweeps: m = n from 1024 to
 /// 6144 in steps of 256, k fixed at 256.
@@ -159,7 +159,7 @@ pub fn ablations(machine: &MachineSpec) -> Vec<Ablation> {
     };
     let mut out = Vec::new();
     let mut probe = |name: &str, cfg: GemmConfig| {
-        if let Ok(e) = evaluate_gemm(&cfg, machine) {
+        if let Ok(e) = EvalCache::disabled().evaluate(&cfg, machine, augem_obs::null(), None) {
             out.push(Ablation {
                 name: name.to_string(),
                 mflops: e.mflops,

@@ -169,6 +169,7 @@ impl LibraryKernels {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use augem_tune::Candidate;
 
     #[test]
     fn goto_is_clamped_to_sse() {

@@ -23,7 +23,8 @@ use crate::baselines::Library;
 use crate::level3::BlockSizes;
 use augem_machine::MachineSpec;
 use augem_tune::config::{VectorConfig, VectorKernel};
-use augem_tune::evaluate::{evaluate_gemm, evaluate_vector, vector_eval_n, EvalError};
+use augem_tune::evaluate::{vector_eval_n, EvalError, Evaluation};
+use augem_tune::{Candidate, EvalCache};
 
 /// Higher-level routines of the paper's Table 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -92,11 +93,16 @@ fn bw_bytes_per_sec(machine: &MachineSpec, ws_bytes: usize) -> f64 {
     machine.caches.stream_bw(ws_bytes) * machine.turbo_ghz * 1e9
 }
 
+/// One uncached, untraced evaluation on the tuner's micro-problem.
+fn evaluate(cfg: &impl Candidate, machine: &MachineSpec) -> Result<Evaluation, EvalError> {
+    EvalCache::disabled().evaluate(cfg, machine, augem_tune::obs::null(), None)
+}
+
 /// Calibrates a vector kernel with the *same* cold streaming evaluation
 /// the tuner optimizes (so AUGEM's tuned pick is never worse than a fixed
 /// baseline config by construction).
 fn calibrate_vector(cfg: &VectorConfig, machine: &MachineSpec) -> Result<StreamCal, EvalError> {
-    let e = evaluate_vector(cfg, machine)?;
+    let e = evaluate(cfg, machine)?;
     let (n0, n1) = vector_eval_n(cfg.kernel);
     let (ws, bpf) = match cfg.kernel {
         VectorKernel::Axpy => (16 * n0, 12.0), // read x, read y, write y / 2 flops
@@ -117,7 +123,7 @@ impl PerfModel {
     pub fn build(library: Library, machine: &MachineSpec) -> Result<Self, EvalError> {
         let eff = library.effective_machine(machine);
         let gemm_cfg = library.gemm_config(machine);
-        let gemm_eval = evaluate_gemm(&gemm_cfg, &eff)?;
+        let gemm_eval = evaluate(&gemm_cfg, &eff)?;
         let axpy = calibrate_vector(&library.vector_config(VectorKernel::Axpy, machine), &eff)?;
         let dot = calibrate_vector(&library.vector_config(VectorKernel::Dot, machine), &eff)?;
         let gemv = calibrate_vector(&library.vector_config(VectorKernel::Gemv, machine), &eff)?;

@@ -3,7 +3,7 @@
 //! Workload-free static checks over a kernel's instruction stream,
 //! reported through the same [`augem_verify::diag`] machinery as the
 //! verifier's correctness rules (V-rules). Every P-rule is a
-//! [`Severity::Warning`]: the kernel is correct, it just leaves cycles
+//! [`Severity::Warning`](augem_verify::Severity::Warning): the kernel is correct, it just leaves cycles
 //! on the table on the target machine.
 //!
 //! | code | rule | fires when |

@@ -6,7 +6,7 @@
 //! kernels depends only on general-purpose register state (loop
 //! counters, pointers, compare flags), never on floating-point data, so
 //! this module re-executes just the GP side of
-//! [`augem_sim::decode::exec`]'s semantics: wrapping integer
+//! the decoded engine's ([`mod@augem_sim::decode`]) semantics: wrapping integer
 //! arithmetic, the compare tuple, branch decisions, and the hidden
 //! spill stack. Floating-point operations are counted but their values
 //! are never computed.

@@ -14,7 +14,7 @@
 //!   and software prefetches;
 //! * an interned symbol table ([`sym`]);
 //! * construction helpers ([`build`]) used by `augem-kernels` and by tests;
-//! * a C pretty-printer ([`print`]) so every pipeline stage can be dumped as
+//! * a C pretty-printer ([`mod@print`]) so every pipeline stage can be dumped as
 //!   compilable-looking C for golden tests and debugging;
 //! * a reference interpreter ([`interp`]) used to prove that every
 //!   source-to-source pass is semantics-preserving;

@@ -16,7 +16,7 @@
 //! are bit-for-bit identical to the legacy interpreter's by
 //! construction. `tests/sim_decoded_differential.rs` proves it.
 //!
-//! The loop hands every executed step to one [`StepSink`]: nothing for
+//! The loop hands every executed step to one `StepSink`: nothing for
 //! the untraced run, a [`Trace`] to record it, or the timing model's
 //! scoreboard to time it as it happens.
 

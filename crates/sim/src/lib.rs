@@ -9,7 +9,7 @@
 //!   SSE/AVX lane semantics (legacy-SSE upper-lane preservation vs VEX
 //!   zeroing included), proving the generated kernels compute exactly what
 //!   the C kernels compute.
-//! * [`decode`] — a **pre-decoded engine**: a one-time [`decode`] pass
+//! * [`mod@decode`] — a **pre-decoded engine**: a one-time [`fn@decode`] pass
 //!   lowers the instruction stream into a dense, string-free
 //!   [`DecodedOp`] table (labels resolved to pc indices, VEX rules baked
 //!   in) driven by a tight dispatch loop that hands each executed step

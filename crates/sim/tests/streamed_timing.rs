@@ -18,7 +18,7 @@ use augem_sim::{
     SimError, SimValue, TimingReport, Trace,
 };
 use augem_tune::{
-    gemm_candidates, gemm_eval_args, vector_candidates, vector_eval_args, VectorKernel,
+    gemm_candidates, gemm_eval_args, vector_candidates, vector_eval_args, Candidate, VectorKernel,
 };
 
 const VECTOR_KERNELS: [VectorKernel; 5] = [

@@ -28,7 +28,7 @@
 //!   mmUnrollSTORE templates").
 //! * **mvUnrolledCOMP** — `n` mvCOMPs stepping both subscripts by 1.
 //!
-//! [`identify`] rewrites a kernel in place, wrapping every match in an
+//! [`fn@identify`] rewrites a kernel in place, wrapping every match in an
 //! [`augem_ir::Stmt::Region`] whose annotation carries the instantiated
 //! template parameters, and returns match statistics.
 

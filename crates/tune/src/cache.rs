@@ -33,7 +33,7 @@
 //! `AUGEM_EVAL_CACHE=0` (or `off`) environment knob disables caching
 //! for A/B measurement.
 
-use crate::config::{BuildError, GemmConfig, LoggedBuild, VectorConfig};
+use crate::config::{BuildError, Candidate, LoggedBuild};
 use crate::evaluate::{Evaluation, ProfiledEvaluation};
 use augem_machine::MachineSpec;
 use augem_obs::{Collector, Tee, Tracer};
@@ -157,51 +157,22 @@ impl EvalCache {
         }
     }
 
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The logged build for a GEMM configuration, built at most once per
+    /// The logged build for a candidate, built at most once per
     /// `(tag, machine)` across the driver's lifetime.
-    pub fn logged_gemm(
+    pub fn logged<C: Candidate + ?Sized>(
         &self,
-        cfg: &GemmConfig,
+        c: &C,
         machine: &MachineSpec,
         tracer: &dyn Tracer,
-    ) -> Result<Arc<LoggedBuild>, BuildError> {
-        self.logged_with(&cfg.tag(), machine, tracer, |t| {
-            cfg.build_logged_traced(machine, t)
-        })
-    }
-
-    /// The logged build for a vector-kernel configuration (see
-    /// [`logged_gemm`](EvalCache::logged_gemm)).
-    pub fn logged_vector(
-        &self,
-        cfg: &VectorConfig,
-        machine: &MachineSpec,
-        tracer: &dyn Tracer,
-    ) -> Result<Arc<LoggedBuild>, BuildError> {
-        self.logged_with(&cfg.tag(), machine, tracer, |t| {
-            cfg.build_logged_traced(machine, t)
-        })
-    }
-
-    fn logged_with(
-        &self,
-        tag: &str,
-        machine: &MachineSpec,
-        tracer: &dyn Tracer,
-        build: impl FnOnce(&dyn Tracer) -> Result<LoggedBuild, BuildError>,
     ) -> Result<Arc<LoggedBuild>, BuildError> {
         if !self.enabled {
-            return build(tracer).map(Arc::new);
+            return c.build_logged_traced(machine, tracer).map(Arc::new);
         }
-        let key = (tag.to_string(), machine.fingerprint());
+        let key = (c.tag(), machine.fingerprint());
         if let Some(hit) = self.lock().builds.get(&key) {
             tracer.add(counter::BUILD_HIT, 1);
             for (k, v) in &hit.labels {
@@ -216,7 +187,7 @@ impl EvalCache {
         // the first insert wins.
         let local = Collector::new();
         let tee = Tee::new(tracer, &local);
-        let built = Arc::new(build(&tee)?);
+        let built = Arc::new(c.build_logged_traced(machine, &tee)?);
         let labels = local.snapshot().labels.into_iter().collect();
         self.lock().builds.entry(key).or_insert(CachedBuild {
             build: built.clone(),
@@ -234,32 +205,9 @@ impl EvalCache {
         step_limit: Option<u64>,
         tracer: &dyn Tracer,
     ) -> Option<Evaluation> {
-        if !self.enabled {
-            return None;
-        }
-        let fp = machine.fingerprint();
-        let inner = self.lock();
-        match inner.evals.get(&(tag.to_string(), fp, step_limit)) {
-            Some(e) => {
-                let e = e.clone();
-                let labels = inner
-                    .builds
-                    .get(&(tag.to_string(), fp))
-                    .map(|b| b.labels.clone())
-                    .unwrap_or_default();
-                drop(inner);
-                tracer.add(counter::EVAL_HIT, 1);
-                for (k, v) in &labels {
-                    tracer.label(k, v);
-                }
-                Some(e)
-            }
-            None => {
-                drop(inner);
-                tracer.add(counter::EVAL_MISS, 1);
-                None
-            }
-        }
+        let key = (tag.to_string(), machine.fingerprint(), step_limit);
+        let counters = (counter::EVAL_HIT, counter::EVAL_MISS);
+        self.lookup(|inner| &inner.evals, key, counters, tracer)
     }
 
     /// Stores a completed evaluation under its content key.
@@ -270,13 +218,8 @@ impl EvalCache {
         step_limit: Option<u64>,
         eval: &Evaluation,
     ) {
-        if !self.enabled {
-            return;
-        }
-        self.lock()
-            .evals
-            .entry((tag.to_string(), machine.fingerprint(), step_limit))
-            .or_insert_with(|| eval.clone());
+        let key = (tag.to_string(), machine.fingerprint(), step_limit);
+        self.store(|inner| &mut inner.evals, key, eval);
     }
 
     /// A cached profiled evaluation, if one exists (see
@@ -289,32 +232,9 @@ impl EvalCache {
         step_limit: Option<u64>,
         tracer: &dyn Tracer,
     ) -> Option<Arc<ProfiledEvaluation>> {
-        if !self.enabled {
-            return None;
-        }
-        let fp = machine.fingerprint();
-        let inner = self.lock();
-        match inner.profiles.get(&(tag.to_string(), fp, step_limit)) {
-            Some(p) => {
-                let p = p.clone();
-                let labels = inner
-                    .builds
-                    .get(&(tag.to_string(), fp))
-                    .map(|b| b.labels.clone())
-                    .unwrap_or_default();
-                drop(inner);
-                tracer.add(counter::PROFILE_HIT, 1);
-                for (k, v) in &labels {
-                    tracer.label(k, v);
-                }
-                Some(p)
-            }
-            None => {
-                drop(inner);
-                tracer.add(counter::PROFILE_MISS, 1);
-                None
-            }
-        }
+        let key = (tag.to_string(), machine.fingerprint(), step_limit);
+        let counters = (counter::PROFILE_HIT, counter::PROFILE_MISS);
+        self.lookup(|inner| &inner.profiles, key, counters, tracer)
     }
 
     /// Stores a completed profiled evaluation under its content key.
@@ -325,13 +245,54 @@ impl EvalCache {
         step_limit: Option<u64>,
         profile: &Arc<ProfiledEvaluation>,
     ) {
+        let key = (tag.to_string(), machine.fingerprint(), step_limit);
+        self.store(|inner| &mut inner.profiles, key, profile);
+    }
+
+    /// The measurement lookup behind both maps: bumps the `(hit, miss)`
+    /// counter and, on a hit, replays the build's labels.
+    fn lookup<T: Clone>(
+        &self,
+        map: impl Fn(&Inner) -> &HashMap<EvalKey, T>,
+        key: EvalKey,
+        (hit_counter, miss_counter): (&str, &str),
+        tracer: &dyn Tracer,
+    ) -> Option<T> {
         if !self.enabled {
-            return;
+            return None;
         }
-        self.lock()
-            .profiles
-            .entry((tag.to_string(), machine.fingerprint(), step_limit))
-            .or_insert_with(|| profile.clone());
+        let inner = self.lock();
+        let Some(hit) = map(&inner).get(&key).cloned() else {
+            drop(inner);
+            tracer.add(miss_counter, 1);
+            return None;
+        };
+        let (tag, fp, _) = key;
+        let labels = inner
+            .builds
+            .get(&(tag, fp))
+            .map(|b| b.labels.clone())
+            .unwrap_or_default();
+        drop(inner);
+        tracer.add(hit_counter, 1);
+        for (k, v) in &labels {
+            tracer.label(k, v);
+        }
+        Some(hit)
+    }
+
+    /// The measurement store behind both maps; the first insert wins.
+    fn store<T: Clone>(
+        &self,
+        map: impl FnOnce(&mut Inner) -> &mut HashMap<EvalKey, T>,
+        key: EvalKey,
+        value: &T,
+    ) {
+        if self.enabled {
+            map(&mut self.lock())
+                .entry(key)
+                .or_insert_with(|| value.clone());
+        }
     }
 
     /// How many distinct builds the cache holds (test/report helper).
@@ -353,7 +314,7 @@ impl EvalCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate::evaluate_gemm_cached;
+    use crate::config::GemmConfig;
 
     #[test]
     fn second_build_is_a_hit_with_identical_asm_and_labels() {
@@ -365,8 +326,8 @@ mod tests {
         };
         let cache = EvalCache::new();
         let c = Collector::new();
-        let first = cache.logged_gemm(&cfg, &m, &c).unwrap();
-        let again = cache.logged_gemm(&cfg, &m, &c).unwrap();
+        let first = cache.logged(&cfg, &m, &c).unwrap();
+        let again = cache.logged(&cfg, &m, &c).unwrap();
         assert!(Arc::ptr_eq(&first, &again), "hit must share the artifact");
         let snap = c.snapshot();
         assert_eq!(snap.counters[counter::BUILD_MISS], 1);
@@ -393,8 +354,8 @@ mod tests {
         };
         let cache = EvalCache::new();
         let c = Collector::new();
-        let wide = cache.logged_gemm(&cfg, &snb, &c).unwrap();
-        let narrow = cache.logged_gemm(&cfg, &sse, &c).unwrap();
+        let wide = cache.logged(&cfg, &snb, &c).unwrap();
+        let narrow = cache.logged(&cfg, &sse, &c).unwrap();
         assert!(!Arc::ptr_eq(&wide, &narrow));
         assert_eq!(c.snapshot().counters[counter::BUILD_MISS], 2);
         assert_eq!(cache.builds_len(), 2);
@@ -410,9 +371,9 @@ mod tests {
         };
         let cache = EvalCache::new();
         let c = Collector::new();
-        let cold = evaluate_gemm_cached(&cfg, &m, &c, None, &cache).unwrap();
+        let cold = cache.evaluate(&cfg, &m, &c, None).unwrap();
         let sim_cycles_after_miss = c.snapshot().counters["sim.cycles"];
-        let warm = evaluate_gemm_cached(&cfg, &m, &c, None, &cache).unwrap();
+        let warm = cache.evaluate(&cfg, &m, &c, None).unwrap();
         assert_eq!(cold.mflops.to_bits(), warm.mflops.to_bits());
         let snap = c.snapshot();
         assert_eq!(snap.counters[counter::EVAL_MISS], 1);
@@ -420,7 +381,7 @@ mod tests {
         // The hit did not re-simulate: sim counters unchanged.
         assert_eq!(snap.counters["sim.cycles"], sim_cycles_after_miss);
         // A different budget is a different measurement key.
-        let budgeted = evaluate_gemm_cached(&cfg, &m, &c, Some(1 << 32), &cache).unwrap();
+        let budgeted = cache.evaluate(&cfg, &m, &c, Some(1 << 32)).unwrap();
         assert_eq!(budgeted.mflops.to_bits(), cold.mflops.to_bits());
         assert_eq!(c.snapshot().counters[counter::EVAL_MISS], 2);
     }
@@ -435,8 +396,8 @@ mod tests {
         };
         let cache = EvalCache::new();
         let c = Collector::new();
-        let cold = crate::evaluate::profile_gemm_cached(&cfg, &m, &c, None, &cache).unwrap();
-        let warm = crate::evaluate::profile_gemm_cached(&cfg, &m, &c, None, &cache).unwrap();
+        let cold = cache.profile(&cfg, &m, &c, None).unwrap();
+        let warm = cache.profile(&cfg, &m, &c, None).unwrap();
         assert!(Arc::ptr_eq(&cold, &warm), "hit must share the profile");
         let snap = c.snapshot();
         assert_eq!(snap.counters[counter::PROFILE_MISS], 1);
@@ -444,7 +405,7 @@ mod tests {
         assert_eq!(cache.profiles_len(), 1);
         // The profiled replay measures the same thing the plain one does,
         // and its per-pc attribution telescopes to the total.
-        let plain = evaluate_gemm_cached(&cfg, &m, &c, None, &cache).unwrap();
+        let plain = cache.evaluate(&cfg, &m, &c, None).unwrap();
         assert_eq!(plain.report, cold.report);
         assert_eq!(plain.mflops.to_bits(), cold.mflops.to_bits());
         assert_eq!(cold.pcs.total_cycles(), cold.report.cycles);
@@ -461,8 +422,8 @@ mod tests {
         };
         let cache = EvalCache::disabled();
         let c = Collector::new();
-        cache.logged_gemm(&cfg, &m, &c).unwrap();
-        cache.logged_gemm(&cfg, &m, &c).unwrap();
+        cache.logged(&cfg, &m, &c).unwrap();
+        cache.logged(&cfg, &m, &c).unwrap();
         let snap = c.snapshot();
         assert!(!snap.counters.contains_key(counter::BUILD_HIT));
         assert!(!snap.counters.contains_key(counter::BUILD_MISS));

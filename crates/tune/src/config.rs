@@ -1,10 +1,14 @@
 //! Tunable kernel configurations and candidate generation.
 
+use crate::evaluate::{gemm_eval_args, vector_eval_args};
 use augem_asm::AsmKernel;
 use augem_ir::Kernel;
-use augem_kernels::{axpy_simple, dot_simple, gemm_simple, gemv_simple, ger_simple, scal_simple};
+use augem_kernels::{
+    axpy_simple, dot_simple, gemm_simple, gemv_simple, ger_simple, scal_simple, DlaKernel,
+};
 use augem_machine::{MachineSpec, SimdMode};
 use augem_opt::{CodegenError, CodegenOptions, FmaPolicy, StrategyPref};
+use augem_sim::SimValue;
 use augem_transforms::{OptimizeConfig, PrefetchConfig, TransformError};
 use augem_verify::{EquivArg, EquivSpec};
 
@@ -54,73 +58,19 @@ impl GemmConfig {
         )
     }
 
-    fn opt_config(&self) -> OptimizeConfig {
-        let mut cfg = OptimizeConfig::gemm(self.nu, self.mu, self.ku);
-        cfg.prefetch = self.prefetch;
-        cfg
-    }
-
     /// The transform half of the pipeline this configuration drives: the
     /// simple source kernel and the optimization recipe. What the depan
     /// legality filter checks without paying for code generation.
     pub fn transform_inputs(&self) -> (Kernel, OptimizeConfig) {
-        (gemm_simple(), self.opt_config())
+        let mut cfg = OptimizeConfig::gemm(self.nu, self.mu, self.ku);
+        cfg.prefetch = self.prefetch;
+        (gemm_simple(), cfg)
     }
 
-    fn codegen_options(&self) -> CodegenOptions {
-        CodegenOptions {
-            strategy: self.strategy,
-            fma: self.fma,
-            schedule: self.schedule,
-            ..Default::default()
-        }
-    }
-
-    /// Runs the full pipeline for this configuration.
-    pub fn build(&self, machine: &MachineSpec) -> Result<AsmKernel, BuildError> {
-        build_pipeline(
-            &gemm_simple(),
-            &self.opt_config(),
-            &self.codegen_options(),
-            machine,
-        )
-    }
-
-    /// [`build`](GemmConfig::build) with stage tracing.
-    pub fn build_traced(
-        &self,
-        machine: &MachineSpec,
-        tracer: &dyn augem_obs::Tracer,
-    ) -> Result<AsmKernel, BuildError> {
-        build_pipeline_traced(
-            &gemm_simple(),
-            &self.opt_config(),
-            &self.codegen_options(),
-            machine,
-            tracer,
-        )
-    }
-
-    /// [`build`](GemmConfig::build) keeping every artifact the static
-    /// verifier consumes.
+    /// [`Candidate::build_logged_traced`] without tracing — kept inherent
+    /// so callers need not import the trait.
     pub fn build_logged(&self, machine: &MachineSpec) -> Result<LoggedBuild, BuildError> {
         self.build_logged_traced(machine, augem_obs::null())
-    }
-
-    /// [`build_logged`](GemmConfig::build_logged) with stage tracing —
-    /// the entry point the evaluation cache fills itself through.
-    pub fn build_logged_traced(
-        &self,
-        machine: &MachineSpec,
-        tracer: &dyn augem_obs::Tracer,
-    ) -> Result<LoggedBuild, BuildError> {
-        build_pipeline_logged(
-            &gemm_simple(),
-            &self.opt_config(),
-            &self.codegen_options(),
-            machine,
-            tracer,
-        )
     }
 
     /// The translation-validation problem instance for this
@@ -199,36 +149,10 @@ impl VectorConfig {
         )
     }
 
-    /// Runs the full pipeline for this configuration.
-    pub fn build(&self, machine: &MachineSpec) -> Result<AsmKernel, BuildError> {
-        self.build_traced(machine, augem_obs::null())
-    }
-
-    /// [`build`](VectorConfig::build) with stage tracing.
-    pub fn build_traced(
-        &self,
-        machine: &MachineSpec,
-        tracer: &dyn augem_obs::Tracer,
-    ) -> Result<AsmKernel, BuildError> {
-        let (kernel, cfg, opts) = self.pipeline_inputs();
-        build_pipeline_traced(&kernel, &cfg, &opts, machine, tracer)
-    }
-
-    /// [`build`](VectorConfig::build) keeping every artifact the static
-    /// verifier consumes.
+    /// [`Candidate::build_logged_traced`] without tracing (see
+    /// [`GemmConfig::build_logged`]).
     pub fn build_logged(&self, machine: &MachineSpec) -> Result<LoggedBuild, BuildError> {
         self.build_logged_traced(machine, augem_obs::null())
-    }
-
-    /// [`build_logged`](VectorConfig::build_logged) with stage tracing —
-    /// the entry point the evaluation cache fills itself through.
-    pub fn build_logged_traced(
-        &self,
-        machine: &MachineSpec,
-        tracer: &dyn augem_obs::Tracer,
-    ) -> Result<LoggedBuild, BuildError> {
-        let (kernel, cfg, opts) = self.pipeline_inputs();
-        build_pipeline_logged(&kernel, &cfg, &opts, machine, tracer)
     }
 
     /// The translation-validation problem instance for this
@@ -290,11 +214,6 @@ impl VectorConfig {
     /// The transform half of the pipeline this configuration drives (see
     /// [`GemmConfig::transform_inputs`]).
     pub fn transform_inputs(&self) -> (Kernel, OptimizeConfig) {
-        let (kernel, cfg, _) = self.pipeline_inputs();
-        (kernel, cfg)
-    }
-
-    fn pipeline_inputs(&self) -> (Kernel, OptimizeConfig, CodegenOptions) {
         let (kernel, mut cfg): (Kernel, OptimizeConfig) = match self.kernel {
             VectorKernel::Axpy => (axpy_simple(), OptimizeConfig::vector(self.unroll, false)),
             VectorKernel::Dot => (dot_simple(), OptimizeConfig::vector(self.unroll, true)),
@@ -304,13 +223,141 @@ impl VectorConfig {
             VectorKernel::Scal => (scal_simple(), OptimizeConfig::vector(self.unroll, false)),
         };
         cfg.prefetch = self.prefetch;
-        let opts = CodegenOptions {
+        (kernel, cfg)
+    }
+}
+
+/// One point of a tuning space: everything the sweep, the evaluation
+/// cache and the facade need to know about a kernel family, and nothing
+/// else. [`GemmConfig`] and [`VectorConfig`] are the two families; the
+/// sweep ([`crate::sweep`]), the cache ([`EvalCache::logged`],
+/// [`EvalCache::evaluate`], [`EvalCache::profile`]) and the legality
+/// verdict ([`crate::reject_logged`]) are written once against this
+/// trait.
+///
+/// The trait is object safe, so the facade can carry a winner of either
+/// family as `&dyn Candidate`.
+///
+/// [`EvalCache::logged`]: crate::EvalCache::logged
+/// [`EvalCache::evaluate`]: crate::EvalCache::evaluate
+/// [`EvalCache::profile`]: crate::EvalCache::profile
+pub trait Candidate: Send + Sync {
+    /// Human-readable tag: the report label and the journal and cache key.
+    fn tag(&self) -> String;
+    /// The circuit-breaker family: candidates that share a shape and so
+    /// tend to fail together.
+    fn family(&self) -> String;
+    /// Which DLA kernel this candidate implements.
+    fn kernel(&self) -> DlaKernel;
+    /// The simple source kernel and the source-to-source recipe.
+    fn transform_inputs(&self) -> (Kernel, OptimizeConfig);
+    /// The code-generation half of the recipe.
+    fn codegen_options(&self) -> CodegenOptions;
+    /// The evaluation micro-problem's arguments and useful-flop count.
+    fn eval_args(&self) -> (Vec<SimValue>, u64);
+    /// Is the micro-problem timed warm (cache-resident steady state) or
+    /// cold (streaming)?
+    fn warm_cache(&self) -> bool;
+    /// The translation-validation problem instance.
+    fn equiv_spec(&self) -> EquivSpec;
+
+    /// Runs the full pipeline for this configuration.
+    fn build(&self, machine: &MachineSpec) -> Result<AsmKernel, BuildError> {
+        self.build_traced(machine, augem_obs::null())
+    }
+
+    /// [`build`](Candidate::build) with stage tracing.
+    fn build_traced(
+        &self,
+        machine: &MachineSpec,
+        tracer: &dyn augem_obs::Tracer,
+    ) -> Result<AsmKernel, BuildError> {
+        let (kernel, cfg) = self.transform_inputs();
+        build_pipeline_traced(&kernel, &cfg, &self.codegen_options(), machine, tracer)
+    }
+
+    /// [`build_traced`](Candidate::build_traced) keeping every artifact
+    /// the static verifier consumes — the entry point the evaluation
+    /// cache fills itself through.
+    fn build_logged_traced(
+        &self,
+        machine: &MachineSpec,
+        tracer: &dyn augem_obs::Tracer,
+    ) -> Result<LoggedBuild, BuildError> {
+        let (kernel, cfg) = self.transform_inputs();
+        build_pipeline_logged(&kernel, &cfg, &self.codegen_options(), machine, tracer)
+    }
+}
+
+impl Candidate for GemmConfig {
+    fn tag(&self) -> String {
+        GemmConfig::tag(self)
+    }
+    fn family(&self) -> String {
+        format!("{}x{}", self.mu, self.nu)
+    }
+    fn kernel(&self) -> DlaKernel {
+        DlaKernel::Gemm
+    }
+    fn transform_inputs(&self) -> (Kernel, OptimizeConfig) {
+        GemmConfig::transform_inputs(self)
+    }
+    fn codegen_options(&self) -> CodegenOptions {
+        CodegenOptions {
+            strategy: self.strategy,
+            fma: self.fma,
+            schedule: self.schedule,
+            ..Default::default()
+        }
+    }
+    fn eval_args(&self) -> (Vec<SimValue>, u64) {
+        gemm_eval_args(self)
+    }
+    /// Packed GEMM operands are cache-resident by construction.
+    fn warm_cache(&self) -> bool {
+        true
+    }
+    fn equiv_spec(&self) -> EquivSpec {
+        GemmConfig::equiv_spec(self)
+    }
+}
+
+impl Candidate for VectorConfig {
+    fn tag(&self) -> String {
+        VectorConfig::tag(self)
+    }
+    fn family(&self) -> String {
+        format!("u{}", self.unroll)
+    }
+    fn kernel(&self) -> DlaKernel {
+        match self.kernel {
+            VectorKernel::Axpy => DlaKernel::Axpy,
+            VectorKernel::Dot => DlaKernel::Dot,
+            VectorKernel::Gemv => DlaKernel::Gemv,
+            VectorKernel::Ger => DlaKernel::Ger,
+            VectorKernel::Scal => DlaKernel::Scal,
+        }
+    }
+    fn transform_inputs(&self) -> (Kernel, OptimizeConfig) {
+        VectorConfig::transform_inputs(self)
+    }
+    fn codegen_options(&self) -> CodegenOptions {
+        CodegenOptions {
             strategy: StrategyPref::Vdup,
             fma: FmaPolicy::Auto,
             schedule: self.schedule,
             ..Default::default()
-        };
-        (kernel, cfg, opts)
+        }
+    }
+    fn eval_args(&self) -> (Vec<SimValue>, u64) {
+        vector_eval_args(self)
+    }
+    /// Level-1/2 kernels stream at the paper's sizes: timed cold.
+    fn warm_cache(&self) -> bool {
+        false
+    }
+    fn equiv_spec(&self) -> EquivSpec {
+        VectorConfig::equiv_spec(self)
     }
 }
 
@@ -332,18 +379,8 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// Simple C → optimized C → tagged → assembly.
-pub fn build_pipeline(
-    simple: &Kernel,
-    cfg: &OptimizeConfig,
-    opts: &CodegenOptions,
-    machine: &MachineSpec,
-) -> Result<AsmKernel, BuildError> {
-    build_pipeline_traced(simple, cfg, opts, machine, augem_obs::null())
-}
-
-/// [`build_pipeline`] with each stage traced (`cgen` → `identify` →
-/// `akg` spans, plus their counters and gauges).
+/// Simple C → optimized C → tagged → assembly, with each stage traced
+/// (`cgen` → `identify` → `akg` spans, plus their counters and gauges).
 pub fn build_pipeline_traced(
     simple: &Kernel,
     cfg: &OptimizeConfig,

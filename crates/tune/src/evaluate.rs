@@ -6,8 +6,7 @@
 //! the micro-kernel contributes to full-problem performance.
 
 use crate::cache::EvalCache;
-use crate::config::{BuildError, GemmConfig, LoggedBuild, VectorConfig, VectorKernel};
-use augem_asm::AsmKernel;
+use crate::config::{BuildError, Candidate, GemmConfig, LoggedBuild, VectorConfig, VectorKernel};
 use augem_machine::MachineSpec;
 use augem_opt::CodegenError;
 use augem_sim::{PcProfile, SimError, SimValue, TimingReport};
@@ -123,62 +122,6 @@ pub fn gemm_eval_dims(cfg: &GemmConfig) -> (usize, usize, usize) {
     (mr, nr, kc)
 }
 
-/// Evaluates a GEMM configuration; returns useful Mflops.
-pub fn evaluate_gemm(cfg: &GemmConfig, machine: &MachineSpec) -> Result<Evaluation, EvalError> {
-    evaluate_gemm_traced(cfg, machine, augem_obs::null())
-}
-
-/// [`evaluate_gemm`] with the build stages and the simulation traced
-/// (the simulator run is a `sim` span; its counters land under `sim.*`).
-pub fn evaluate_gemm_traced(
-    cfg: &GemmConfig,
-    machine: &MachineSpec,
-    tracer: &dyn augem_obs::Tracer,
-) -> Result<Evaluation, EvalError> {
-    evaluate_gemm_budgeted(cfg, machine, tracer, None)
-}
-
-/// [`evaluate_gemm_traced`] under an optional per-candidate instruction
-/// budget; exceeding it fails the candidate with [`EvalError::Budget`].
-pub fn evaluate_gemm_budgeted(
-    cfg: &GemmConfig,
-    machine: &MachineSpec,
-    tracer: &dyn augem_obs::Tracer,
-    step_limit: Option<u64>,
-) -> Result<Evaluation, EvalError> {
-    let asm = cfg
-        .build_traced(machine, tracer)
-        .map_err(EvalError::Build)?;
-    measure_gemm(&asm, cfg, machine, tracer, step_limit)
-}
-
-/// [`evaluate_gemm_budgeted`] memoized through `cache`: the build goes
-/// through the build cache, the whole measurement through the evaluation
-/// cache (key: config tag + machine fingerprint + step budget). A hit
-/// returns the stored [`Evaluation`] bit-for-bit and replays the build's
-/// labels; only successes are stored.
-pub fn evaluate_gemm_cached(
-    cfg: &GemmConfig,
-    machine: &MachineSpec,
-    tracer: &dyn augem_obs::Tracer,
-    step_limit: Option<u64>,
-    cache: &EvalCache,
-) -> Result<Evaluation, EvalError> {
-    if !cache.is_enabled() {
-        return evaluate_gemm_budgeted(cfg, machine, tracer, step_limit);
-    }
-    let tag = cfg.tag();
-    if let Some(hit) = cache.eval_lookup(&tag, machine, step_limit, tracer) {
-        return Ok(hit);
-    }
-    let logged = cache
-        .logged_gemm(cfg, machine, tracer)
-        .map_err(EvalError::Build)?;
-    let e = measure_gemm(&logged.asm, cfg, machine, tracer, step_limit)?;
-    cache.eval_store(&tag, machine, step_limit, &e);
-    Ok(e)
-}
-
 /// The micro-problem arguments and useful-flop count of a GEMM
 /// evaluation — shared by the plain measurement and the profiled one so
 /// both exercise the identical workload.
@@ -202,32 +145,96 @@ pub fn gemm_eval_args(cfg: &GemmConfig) -> (Vec<SimValue>, u64) {
     (args, (2 * mr * nr * kc) as u64)
 }
 
-/// The simulation half of a GEMM evaluation, shared by the cached and
-/// uncached paths.
-fn measure_gemm(
-    asm: &AsmKernel,
-    cfg: &GemmConfig,
-    machine: &MachineSpec,
-    tracer: &dyn augem_obs::Tracer,
-    step_limit: Option<u64>,
-) -> Result<Evaluation, EvalError> {
-    let (args, useful) = gemm_eval_args(cfg);
-    let report = {
-        let _s = augem_obs::span(tracer, augem_obs::stage::SIM);
-        let (report, _) = match step_limit {
-            Some(limit) => augem_sim::simulate_timing_steady_budgeted(asm, args, machine, limit),
-            None => augem_sim::simulate_timing_steady(asm, args, machine),
+impl EvalCache {
+    /// Evaluates a candidate on its micro-problem: the build goes
+    /// through the build cache, the whole measurement through the
+    /// evaluation cache (key: config tag + machine fingerprint + step
+    /// budget). A hit returns the stored [`Evaluation`] bit-for-bit and
+    /// replays the build's labels; only successes are stored. The build
+    /// stages and the simulation are traced (the simulator run is a `sim`
+    /// span; its counters land under `sim.*`). Exceeding `step_limit`
+    /// fails the candidate with [`EvalError::Budget`].
+    pub fn evaluate<C: Candidate + ?Sized>(
+        &self,
+        c: &C,
+        machine: &MachineSpec,
+        tracer: &dyn augem_obs::Tracer,
+        step_limit: Option<u64>,
+    ) -> Result<Evaluation, EvalError> {
+        let tag = c.tag();
+        if let Some(hit) = self.eval_lookup(&tag, machine, step_limit, tracer) {
+            return Ok(hit);
         }
-        .map_err(EvalError::from_sim)?;
-        report
-    };
-    record_sim_counters(tracer, &report);
-    let mflops = report.useful_mflops(useful, machine.turbo_ghz);
-    Ok(Evaluation {
-        report,
-        mflops,
-        useful_flops: useful,
-    })
+        let build = self.logged(c, machine, tracer).map_err(EvalError::Build)?;
+        let (args, useful) = c.eval_args();
+        let report = {
+            let _s = augem_obs::span(tracer, augem_obs::stage::SIM);
+            let (asm, warm) = (&build.asm, c.warm_cache());
+            let (report, _) = match (warm, step_limit) {
+                (true, Some(limit)) => {
+                    augem_sim::simulate_timing_steady_budgeted(asm, args, machine, limit)
+                }
+                (true, None) => augem_sim::simulate_timing_steady(asm, args, machine),
+                (false, Some(limit)) => {
+                    augem_sim::simulate_timing_budgeted(asm, args, machine, limit)
+                }
+                (false, None) => augem_sim::simulate_timing(asm, args, machine),
+            }
+            .map_err(EvalError::from_sim)?;
+            report
+        };
+        record_sim_counters(tracer, &report);
+        let mflops = report.useful_mflops(useful, machine.turbo_ghz);
+        let e = Evaluation {
+            report,
+            mflops,
+            useful_flops: useful,
+        };
+        self.eval_store(&tag, machine, step_limit, &e);
+        Ok(e)
+    }
+
+    /// Profiles a candidate: the same workload and cache regime as
+    /// [`evaluate`](EvalCache::evaluate), replayed with per-pc
+    /// attribution on. The build goes through the build cache; the
+    /// profiled replay is keyed like an evaluation, so a hit replays the
+    /// stored profile instead of re-simulating.
+    pub fn profile<C: Candidate + ?Sized>(
+        &self,
+        c: &C,
+        machine: &MachineSpec,
+        tracer: &dyn augem_obs::Tracer,
+        step_limit: Option<u64>,
+    ) -> Result<Arc<ProfiledEvaluation>, EvalError> {
+        let tag = c.tag();
+        if let Some(hit) = self.profile_lookup(&tag, machine, step_limit, tracer) {
+            return Ok(hit);
+        }
+        let build = self.logged(c, machine, tracer).map_err(EvalError::Build)?;
+        let (args, useful) = c.eval_args();
+        let (report, pcs) = {
+            let _s = augem_obs::span(tracer, augem_obs::stage::PROF);
+            let (report, pcs, _) = augem_sim::simulate_timing_profiled(
+                &build.asm,
+                args,
+                machine,
+                c.warm_cache(),
+                step_limit,
+            )
+            .map_err(EvalError::from_sim)?;
+            (report, pcs)
+        };
+        let mflops = report.useful_mflops(useful, machine.turbo_ghz);
+        let pe = Arc::new(ProfiledEvaluation {
+            build,
+            report,
+            pcs,
+            mflops,
+            useful_flops: useful,
+        });
+        self.profile_store(&tag, machine, step_limit, &pe);
+        Ok(pe)
+    }
 }
 
 /// Aggregate simulator counters (summed over every simulated candidate).
@@ -251,58 +258,6 @@ pub fn vector_eval_n(kernel: VectorKernel) -> (usize, usize) {
         VectorKernel::Axpy | VectorKernel::Dot | VectorKernel::Scal => (1 << 18, 1),
         VectorKernel::Gemv | VectorKernel::Ger => (2048, 192), // m, n
     }
-}
-
-/// Evaluates a vector-kernel configuration.
-pub fn evaluate_vector(cfg: &VectorConfig, machine: &MachineSpec) -> Result<Evaluation, EvalError> {
-    evaluate_vector_traced(cfg, machine, augem_obs::null())
-}
-
-/// [`evaluate_vector`] with the build stages and the simulation traced.
-pub fn evaluate_vector_traced(
-    cfg: &VectorConfig,
-    machine: &MachineSpec,
-    tracer: &dyn augem_obs::Tracer,
-) -> Result<Evaluation, EvalError> {
-    evaluate_vector_budgeted(cfg, machine, tracer, None)
-}
-
-/// [`evaluate_vector_traced`] under an optional per-candidate
-/// instruction budget (see [`evaluate_gemm_budgeted`]).
-pub fn evaluate_vector_budgeted(
-    cfg: &VectorConfig,
-    machine: &MachineSpec,
-    tracer: &dyn augem_obs::Tracer,
-    step_limit: Option<u64>,
-) -> Result<Evaluation, EvalError> {
-    let asm = cfg
-        .build_traced(machine, tracer)
-        .map_err(EvalError::Build)?;
-    measure_vector(&asm, cfg, machine, tracer, step_limit)
-}
-
-/// [`evaluate_vector_budgeted`] memoized through `cache` (see
-/// [`evaluate_gemm_cached`]).
-pub fn evaluate_vector_cached(
-    cfg: &VectorConfig,
-    machine: &MachineSpec,
-    tracer: &dyn augem_obs::Tracer,
-    step_limit: Option<u64>,
-    cache: &EvalCache,
-) -> Result<Evaluation, EvalError> {
-    if !cache.is_enabled() {
-        return evaluate_vector_budgeted(cfg, machine, tracer, step_limit);
-    }
-    let tag = cfg.tag();
-    if let Some(hit) = cache.eval_lookup(&tag, machine, step_limit, tracer) {
-        return Ok(hit);
-    }
-    let logged = cache
-        .logged_vector(cfg, machine, tracer)
-        .map_err(EvalError::Build)?;
-    let e = measure_vector(&logged.asm, cfg, machine, tracer, step_limit)?;
-    cache.eval_store(&tag, machine, step_limit, &e);
-    Ok(e)
 }
 
 /// The micro-problem arguments and useful-flop count of a vector-kernel
@@ -378,35 +333,6 @@ pub fn vector_eval_args(cfg: &VectorConfig) -> (Vec<SimValue>, u64) {
     }
 }
 
-/// The simulation half of a vector-kernel evaluation, shared by the
-/// cached and uncached paths.
-fn measure_vector(
-    asm: &AsmKernel,
-    cfg: &VectorConfig,
-    machine: &MachineSpec,
-    tracer: &dyn augem_obs::Tracer,
-    step_limit: Option<u64>,
-) -> Result<Evaluation, EvalError> {
-    let (args, useful) = vector_eval_args(cfg);
-    // Cold run: streaming behavior is the tuning objective here.
-    let report = {
-        let _s = augem_obs::span(tracer, augem_obs::stage::SIM);
-        let (report, _) = match step_limit {
-            Some(limit) => augem_sim::simulate_timing_budgeted(asm, args, machine, limit),
-            None => augem_sim::simulate_timing(asm, args, machine),
-        }
-        .map_err(EvalError::from_sim)?;
-        report
-    };
-    record_sim_counters(tracer, &report);
-    let mflops = report.useful_mflops(useful, machine.turbo_ghz);
-    Ok(Evaluation {
-        report,
-        mflops,
-        useful_flops: useful,
-    })
-}
-
 /// A configuration's *profiled* measurement: the same workload as the
 /// plain evaluation, replayed with per-pc attribution on, bundled with
 /// the build artifacts (`asm` + binding log) that `augem-prof` needs to
@@ -420,86 +346,15 @@ pub struct ProfiledEvaluation {
     pub useful_flops: u64,
 }
 
-/// Profiles a GEMM configuration through the cache: the build goes
-/// through the build cache; the profiled replay is keyed like an
-/// evaluation (`tag` + machine fingerprint + step budget) so a cache hit
-/// replays the stored profile instead of re-simulating. Runs the same
-/// steady-state micro-problem as [`evaluate_gemm_cached`].
-pub fn profile_gemm_cached(
-    cfg: &GemmConfig,
-    machine: &MachineSpec,
-    tracer: &dyn augem_obs::Tracer,
-    step_limit: Option<u64>,
-    cache: &EvalCache,
-) -> Result<Arc<ProfiledEvaluation>, EvalError> {
-    let tag = cfg.tag();
-    if let Some(hit) = cache.profile_lookup(&tag, machine, step_limit, tracer) {
-        return Ok(hit);
-    }
-    let build = cache
-        .logged_gemm(cfg, machine, tracer)
-        .map_err(EvalError::Build)?;
-    let (args, useful) = gemm_eval_args(cfg);
-    // `warm = true` is the steady-state regime of `measure_gemm`.
-    let pe = profile_measure(build, args, useful, machine, tracer, true, step_limit)?;
-    cache.profile_store(&tag, machine, step_limit, &pe);
-    Ok(pe)
-}
-
-/// Profiles a vector-kernel configuration (see [`profile_gemm_cached`]);
-/// cold-cache, like [`evaluate_vector_cached`].
-pub fn profile_vector_cached(
-    cfg: &VectorConfig,
-    machine: &MachineSpec,
-    tracer: &dyn augem_obs::Tracer,
-    step_limit: Option<u64>,
-    cache: &EvalCache,
-) -> Result<Arc<ProfiledEvaluation>, EvalError> {
-    let tag = cfg.tag();
-    if let Some(hit) = cache.profile_lookup(&tag, machine, step_limit, tracer) {
-        return Ok(hit);
-    }
-    let build = cache
-        .logged_vector(cfg, machine, tracer)
-        .map_err(EvalError::Build)?;
-    let (args, useful) = vector_eval_args(cfg);
-    let pe = profile_measure(build, args, useful, machine, tracer, false, step_limit)?;
-    cache.profile_store(&tag, machine, step_limit, &pe);
-    Ok(pe)
-}
-
-/// The profiled simulation shared by both kernel families.
-fn profile_measure(
-    build: Arc<LoggedBuild>,
-    args: Vec<SimValue>,
-    useful: u64,
-    machine: &MachineSpec,
-    tracer: &dyn augem_obs::Tracer,
-    warm: bool,
-    step_limit: Option<u64>,
-) -> Result<Arc<ProfiledEvaluation>, EvalError> {
-    let (report, pcs) = {
-        let _s = augem_obs::span(tracer, augem_obs::stage::PROF);
-        let (report, pcs, _) =
-            augem_sim::simulate_timing_profiled(&build.asm, args, machine, warm, step_limit)
-                .map_err(EvalError::from_sim)?;
-        (report, pcs)
-    };
-    let mflops = report.useful_mflops(useful, machine.turbo_ghz);
-    Ok(Arc::new(ProfiledEvaluation {
-        build,
-        report,
-        pcs,
-        mflops,
-        useful_flops: useful,
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use augem_machine::SimdMode;
     use augem_opt::StrategyPref;
+
+    fn evaluate(c: &impl Candidate, m: &MachineSpec) -> Result<Evaluation, EvalError> {
+        EvalCache::disabled().evaluate(c, m, augem_obs::null(), None)
+    }
 
     #[test]
     fn gemm_avx_beats_sse_by_roughly_two() {
@@ -515,8 +370,8 @@ mod tests {
             nu: 4,
             ..GemmConfig::fig13()
         };
-        let ea = evaluate_gemm(&cfg_avx, &avx).unwrap();
-        let es = evaluate_gemm(&cfg_sse, &sse).unwrap();
+        let ea = evaluate(&cfg_avx, &avx).unwrap();
+        let es = evaluate(&cfg_sse, &sse).unwrap();
         let ratio = ea.mflops / es.mflops;
         assert!(
             ratio > 1.4 && ratio < 2.6,
@@ -538,8 +393,8 @@ mod tests {
             fma: augem_opt::FmaPolicy::NoFma,
             ..with
         };
-        let ew = evaluate_gemm(&with, &pd).unwrap();
-        let eo = evaluate_gemm(&without, &pd).unwrap();
+        let ew = evaluate(&with, &pd).unwrap();
+        let eo = evaluate(&without, &pd).unwrap();
         assert!(
             ew.mflops > eo.mflops * 1.2,
             "FMA {} vs mul+add {}",
@@ -552,8 +407,8 @@ mod tests {
     fn bigger_unroll_beats_fig13_minimum() {
         // 2x2 on AVX cannot vectorize (falls back to scalar); 8x4 can.
         let m = MachineSpec::sandy_bridge();
-        let small = evaluate_gemm(&GemmConfig::fig13(), &m).unwrap();
-        let big = evaluate_gemm(
+        let small = evaluate(&GemmConfig::fig13(), &m).unwrap();
+        let big = evaluate(
             &GemmConfig {
                 mu: 8,
                 nu: 4,
@@ -582,8 +437,8 @@ mod tests {
             strategy: StrategyPref::Shuf,
             ..vdup
         };
-        let ev = evaluate_gemm(&vdup, &m).unwrap();
-        let es = evaluate_gemm(&shuf, &m).unwrap();
+        let ev = evaluate(&vdup, &m).unwrap();
+        let es = evaluate(&shuf, &m).unwrap();
         assert!(ev.mflops > 0.0 && es.mflops > 0.0);
         // Both within 3x of each other (they compute the same thing).
         let r = ev.mflops / es.mflops;
@@ -663,12 +518,16 @@ mod tests {
             nu: 4,
             ..GemmConfig::fig13()
         };
-        let err = evaluate_gemm_budgeted(&cfg, &m, augem_obs::null(), Some(10)).unwrap_err();
+        let err = EvalCache::disabled()
+            .evaluate(&cfg, &m, augem_obs::null(), Some(10))
+            .unwrap_err();
         assert_eq!(err.class(), EvalClass::Budget);
         assert!(err.to_string().contains("budget"), "{err}");
         // A generous budget changes nothing about the measurement.
-        let unbudgeted = evaluate_gemm(&cfg, &m).unwrap();
-        let budgeted = evaluate_gemm_budgeted(&cfg, &m, augem_obs::null(), Some(1 << 32)).unwrap();
+        let unbudgeted = evaluate(&cfg, &m).unwrap();
+        let budgeted = EvalCache::disabled()
+            .evaluate(&cfg, &m, augem_obs::null(), Some(1 << 32))
+            .unwrap();
         assert_eq!(unbudgeted.mflops.to_bits(), budgeted.mflops.to_bits());
     }
 
@@ -682,7 +541,7 @@ mod tests {
                 prefetch: augem_transforms::PrefetchConfig::default(),
                 schedule: true,
             };
-            let e = evaluate_vector(&cfg, &m).unwrap();
+            let e = evaluate(&cfg, &m).unwrap();
             assert!(e.mflops > 0.0, "{}: {}", k.name(), e.mflops);
         }
     }

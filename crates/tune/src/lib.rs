@@ -9,11 +9,26 @@
 //!
 //! In the paper, candidates are compiled and run on hardware; here they
 //! are generated through the full pipeline and *timed on the
-//! cycle-approximate simulator* (`augem-sim`) over a cache-resident
-//! steady-state micro-problem — the same feedback loop, with the simulator
-//! standing in for the testbed (DESIGN.md substitution table).
+//! cycle-approximate simulator* (`augem-sim`) over a micro-problem — the
+//! same feedback loop, with the simulator standing in for the testbed
+//! (DESIGN.md substitution table).
 //!
-//! The tuner also doubles as the ablation driver: every configuration
+//! The crate is one loop over one abstraction:
+//!
+//! * [`Candidate`] — a point of a tuning space. [`GemmConfig`] and
+//!   [`VectorConfig`] implement it with their per-family facts: tag,
+//!   breaker family, kernel, transform and codegen recipe, evaluation
+//!   micro-problem and cache regime, translation-validation instance.
+//! * [`EvalCache`] — builds ([`EvalCache::logged`]), measures
+//!   ([`EvalCache::evaluate`]) and profiles ([`EvalCache::profile`]) any
+//!   candidate, memoized by content.
+//! * [`sweep`] — the one sweep: sandboxed, budgeted, retried,
+//!   circuit-broken and journaled evaluation of every candidate, with an
+//!   optional legality phase ([`reject_logged`]) and optional best-first
+//!   bound pruning, selected by [`ResilOptions`]. [`tune_gemm`] and
+//!   [`tune_vector`] are its zero-configuration form.
+//!
+//! The sweep also measures ablations: every configuration
 //! dimension (unroll&jam factors, inner unrolling, Vdup vs Shuf, FMA
 //! policy, prefetching, instruction scheduling) can be frozen to measure
 //! its contribution.
@@ -23,35 +38,19 @@
 pub mod cache;
 pub mod config;
 pub mod evaluate;
-pub mod legal;
-pub mod prune;
 pub mod resilient;
 pub mod search;
 
+/// The telemetry crate the tune API takes its tracers from, re-exported
+/// so dependents can pass one without depending on it themselves.
+pub use augem_obs as obs;
 pub use cache::{cache_enabled, note_cache_disabled, EvalCache};
 pub use config::{
-    build_pipeline, build_pipeline_logged, build_pipeline_traced, gemm_candidates,
-    vector_candidates, BuildError, GemmConfig, LoggedBuild, VectorConfig, VectorKernel,
+    build_pipeline_logged, build_pipeline_traced, gemm_candidates, vector_candidates, BuildError,
+    Candidate, GemmConfig, LoggedBuild, VectorConfig, VectorKernel,
 };
 pub use evaluate::{
-    evaluate_gemm, evaluate_gemm_budgeted, evaluate_gemm_cached, evaluate_gemm_traced,
-    evaluate_vector, evaluate_vector_budgeted, evaluate_vector_cached, evaluate_vector_traced,
-    gemm_eval_args, profile_gemm_cached, profile_vector_cached, vector_eval_args, EvalClass,
-    EvalError, Evaluation, ProfiledEvaluation,
+    gemm_eval_args, vector_eval_args, EvalClass, EvalError, Evaluation, ProfiledEvaluation,
 };
-pub use legal::{
-    tune_gemm_checked, tune_gemm_checked_cached, tune_vector_checked, tune_vector_checked_cached,
-    DepanStats,
-};
-pub use prune::{
-    tune_gemm_pruned, tune_gemm_pruned_cached, tune_vector_pruned, tune_vector_pruned_cached,
-    PruneStats,
-};
-pub use resilient::{
-    tune_gemm_resilient, tune_gemm_resilient_cached, tune_vector_resilient,
-    tune_vector_resilient_cached, ResilOptions,
-};
-pub use search::{
-    tune_gemm, tune_gemm_cached, tune_gemm_traced, tune_vector, tune_vector_cached,
-    tune_vector_traced, TuneError, TuneResult,
-};
+pub use resilient::{reject_logged, sweep, ResilOptions};
+pub use search::{tune_gemm, tune_vector, SweepStats, TuneError, TuneResult};

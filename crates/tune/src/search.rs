@@ -1,13 +1,17 @@
-//! The search driver: evaluate every candidate (in parallel) and keep the
-//! best — the paper's "selects the best performing configurations based on
-//! the performance of their optimized code".
+//! What a sweep returns, and the two zero-configuration sweeps: evaluate
+//! every candidate and keep the best — the paper's "selects the best
+//! performing configurations based on the performance of their optimized
+//! code". The sweep itself is [`crate::sweep`].
 
 use crate::cache::EvalCache;
-use crate::config::{gemm_candidates, vector_candidates, GemmConfig, VectorConfig, VectorKernel};
-use crate::evaluate::{evaluate_gemm_cached, evaluate_vector_cached, Evaluation};
+use crate::config::{
+    gemm_candidates, vector_candidates, Candidate, GemmConfig, VectorConfig, VectorKernel,
+};
+use crate::evaluate::Evaluation;
+use crate::resilient::{sweep, ResilOptions};
 use augem_machine::MachineSpec;
-use augem_obs::{span, stage, Histogram, Tracer, Value};
-use rayon::prelude::*;
+use augem_obs::{Histogram, Tracer, Value};
+use augem_resil::Injector;
 
 /// The tuner's verdict for one kernel on one machine.
 #[derive(Debug, Clone)]
@@ -23,10 +27,45 @@ pub struct TuneResult<C> {
     /// part of the search, not an error — but the reasons are kept so a
     /// run report can show what the search rejected.
     pub failures: Vec<(String, String)>,
-    /// Wall-clock latency of every candidate evaluation in nanoseconds
-    /// (failures included — their latency is real sweep time too). Empty
-    /// for drivers that bypass the standard sweeps.
+    /// Wall-clock latency of every candidate evaluation the sweep ran, in
+    /// nanoseconds: one sample per evaluated candidate, failures
+    /// included (their latency is real sweep time too). Candidates
+    /// restored from the journal, pruned, rejected, skipped by the
+    /// breaker or failed in a pre-build were never evaluated and have no
+    /// sample.
     pub eval_latency_ns: Histogram,
+    /// What the optional phases did to the sweep.
+    pub stats: SweepStats,
+}
+
+/// What a sweep's optional phases did: the bound phase
+/// ([`ResilOptions::prune`]) and the legality phase
+/// ([`ResilOptions::check_legality`]). Fields of a phase that did not run
+/// stay zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SweepStats {
+    /// Candidates that built and went through the static analyzer.
+    pub analyzed: usize,
+    /// Evaluations skipped because the bound proved the candidate
+    /// dominated.
+    pub pruned: usize,
+    /// Candidates the sweep evaluated (one latency sample each).
+    pub evaluated: usize,
+    /// Wall-clock time spent computing static bounds. Analysis only:
+    /// kernel builds are shared with the evaluation phase through the
+    /// [`EvalCache`] and happen in an exhaustive sweep regardless, so this
+    /// is the *incremental* cost pruning adds to a sweep.
+    pub bound_ns: u64,
+    /// Candidates whose transform log was built and checked (the rest
+    /// failed in the pipeline itself — a build failure the sweep reports,
+    /// not a legality verdict).
+    pub checked: usize,
+    /// Candidates rejected by a `T`-rule error.
+    pub rejected: usize,
+    /// Wall-clock time of the legality checking alone. The builds whose
+    /// logs are checked are the sweep's own, shared with evaluation
+    /// through the cache, so they are not analysis cost.
+    pub check_ns: u64,
 }
 
 /// Every candidate failed: the search has nothing to rank. Carries the
@@ -78,117 +117,44 @@ impl std::fmt::Display for TuneError {
 
 impl std::error::Error for TuneError {}
 
-/// Tunes the GEMM micro-kernel for `machine`.
+/// Tunes the GEMM micro-kernel for `machine`: the plain sweep
+/// ([`ResilOptions::plain`]) with no checkpoint, no faults, no tracing
+/// and no cache.
 pub fn tune_gemm(machine: &MachineSpec) -> Result<TuneResult<GemmConfig>, TuneError> {
-    tune_gemm_traced(machine, augem_obs::null())
+    plain(gemm_candidates(machine), machine)
 }
 
-/// [`tune_gemm`] with search telemetry: the whole sweep is a `tune` span,
-/// every candidate emits a `tuner.candidate` event (its tag with either
-/// Mflops or an error), and the `tuner.generated` / `tuner.built` /
-/// `tuner.pruned` counters summarize the space.
-pub fn tune_gemm_traced(
-    machine: &MachineSpec,
-    tracer: &dyn Tracer,
-) -> Result<TuneResult<GemmConfig>, TuneError> {
-    tune_gemm_cached(machine, tracer, &EvalCache::disabled())
-}
-
-/// [`tune_gemm_traced`] with every candidate's build and measurement
-/// routed through `cache`, so later winner rebuilds and re-evaluations
-/// hit instead of re-running the pipeline.
-pub fn tune_gemm_cached(
-    machine: &MachineSpec,
-    tracer: &dyn Tracer,
-    cache: &EvalCache,
-) -> Result<TuneResult<GemmConfig>, TuneError> {
-    let _s = span(tracer, stage::TUNE);
-    let candidates = gemm_candidates(machine);
-    let timed: Vec<(GemmConfig, Result<Evaluation, String>, u64)> = candidates
-        .par_iter()
-        .map(|c| {
-            let t0 = std::time::Instant::now();
-            let r =
-                evaluate_gemm_cached(c, machine, tracer, None, cache).map_err(|e| e.to_string());
-            (*c, r, t0.elapsed().as_nanos() as u64)
-        })
-        .collect();
-    let (evaluated, latency) = split_latency(timed);
-    let mut result = rank("dgemm", machine, evaluated, |c| c.tag(), tracer)?;
-    result.eval_latency_ns = latency;
-    Ok(result)
-}
-
-/// Tunes one of the vector-style kernels for `machine`.
+/// Tunes one of the vector-style kernels for `machine` (see
+/// [`tune_gemm`]).
 pub fn tune_vector(
     kernel: VectorKernel,
     machine: &MachineSpec,
 ) -> Result<TuneResult<VectorConfig>, TuneError> {
-    tune_vector_traced(kernel, machine, augem_obs::null())
+    plain(vector_candidates(kernel, machine), machine)
 }
 
-/// [`tune_vector`] with search telemetry (see [`tune_gemm_traced`]).
-pub fn tune_vector_traced(
-    kernel: VectorKernel,
+fn plain<C: Candidate + Copy>(
+    candidates: Vec<C>,
     machine: &MachineSpec,
-    tracer: &dyn Tracer,
-) -> Result<TuneResult<VectorConfig>, TuneError> {
-    tune_vector_cached(kernel, machine, tracer, &EvalCache::disabled())
+) -> Result<TuneResult<C>, TuneError> {
+    sweep(
+        candidates,
+        machine,
+        &ResilOptions::plain(),
+        None,
+        &Injector::disabled(),
+        augem_obs::null(),
+        &EvalCache::disabled(),
+    )
 }
 
-/// [`tune_vector_traced`] routed through `cache` (see
-/// [`tune_gemm_cached`]).
-pub fn tune_vector_cached(
-    kernel: VectorKernel,
-    machine: &MachineSpec,
-    tracer: &dyn Tracer,
-    cache: &EvalCache,
-) -> Result<TuneResult<VectorConfig>, TuneError> {
-    let _s = span(tracer, stage::TUNE);
-    let candidates = vector_candidates(kernel, machine);
-    let timed: Vec<(VectorConfig, Result<Evaluation, String>, u64)> = candidates
-        .par_iter()
-        .map(|c| {
-            let t0 = std::time::Instant::now();
-            let r =
-                evaluate_vector_cached(c, machine, tracer, None, cache).map_err(|e| e.to_string());
-            (*c, r, t0.elapsed().as_nanos() as u64)
-        })
-        .collect();
-    let (evaluated, latency) = split_latency(timed);
-    let mut result = rank(kernel.name(), machine, evaluated, |c| c.tag(), tracer)?;
-    result.eval_latency_ns = latency;
-    Ok(result)
-}
-
-/// One candidate's evaluation outcome, paired with its wall time in ns.
-type TimedEval<C, E> = (C, Result<Evaluation, E>, u64);
-
-/// Peels the per-candidate wall-clock samples off a timed sweep into a
-/// latency histogram.
-#[allow(clippy::type_complexity)]
-fn split_latency<C, E>(
-    timed: Vec<TimedEval<C, E>>,
-) -> (Vec<(C, Result<Evaluation, E>)>, Histogram) {
-    let mut latency = Histogram::new();
-    let evaluated = timed
-        .into_iter()
-        .map(|(c, r, ns)| {
-            latency.record(ns);
-            (c, r)
-        })
-        .collect();
-    (evaluated, latency)
-}
-
-/// Sorts the evaluated candidates and packages the result, emitting the
-/// search telemetry along the way. Shared with the resilient driver in
-/// [`crate::resilient`].
-pub(crate) fn rank<C: Copy>(
+/// Sorts the evaluated candidates (given in candidate order, so the
+/// stable sort breaks ties the same way on every sweep) and packages the
+/// result, emitting the search telemetry along the way.
+pub(crate) fn rank<C: Candidate + Copy>(
     kernel: &str,
     machine: &MachineSpec,
     evaluated: Vec<(C, Result<Evaluation, String>)>,
-    tag: impl Fn(&C) -> String,
     tracer: &dyn Tracer,
 ) -> Result<TuneResult<C>, TuneError> {
     let generated = evaluated.len();
@@ -200,7 +166,7 @@ pub(crate) fn rank<C: Copy>(
                 tracer.event(
                     "tuner.candidate",
                     &[
-                        ("tag", Value::from(tag(&c))),
+                        ("tag", Value::from(c.tag())),
                         ("mflops", Value::from(e.mflops)),
                     ],
                 );
@@ -210,11 +176,11 @@ pub(crate) fn rank<C: Copy>(
                 tracer.event(
                     "tuner.candidate",
                     &[
-                        ("tag", Value::from(tag(&c))),
+                        ("tag", Value::from(c.tag())),
                         ("error", Value::from(why.clone())),
                     ],
                 );
-                failures.push((tag(&c), why));
+                failures.push((c.tag(), why));
             }
         }
     }
@@ -232,7 +198,7 @@ pub(crate) fn rank<C: Copy>(
     scored.sort_by(|a, b| b.1.mflops.partial_cmp(&a.1.mflops).unwrap());
     let ranking = scored.iter().map(|(c, e)| (*c, e.mflops)).collect();
     let (best, best_eval) = scored.into_iter().next().unwrap();
-    tracer.label("tuner.best", &tag(&best));
+    tracer.label("tuner.best", &best.tag());
     Ok(TuneResult {
         best,
         best_eval,
@@ -240,12 +206,14 @@ pub(crate) fn rank<C: Copy>(
         generated,
         failures,
         eval_latency_ns: Histogram::new(),
+        stats: SweepStats::default(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use augem_obs::stage;
 
     #[test]
     fn tuned_gemm_reaches_most_of_peak_on_sandy_bridge() {
@@ -315,7 +283,16 @@ mod tests {
     fn traced_search_emits_candidate_events() {
         let m = MachineSpec::sandy_bridge();
         let c = augem_obs::Collector::new();
-        let r = tune_vector_traced(VectorKernel::Axpy, &m, &c).unwrap();
+        let r = sweep(
+            vector_candidates(VectorKernel::Axpy, &m),
+            &m,
+            &ResilOptions::plain(),
+            None,
+            &Injector::disabled(),
+            &c,
+            &EvalCache::disabled(),
+        )
+        .unwrap();
         let snap = c.snapshot();
         let events: Vec<_> = snap
             .events
@@ -324,8 +301,9 @@ mod tests {
             .collect();
         assert_eq!(events.len(), r.generated);
         // One latency sample per enumerated candidate, successes and
-        // failures alike.
+        // failures alike: the plain sweep simulates every one of them.
         assert_eq!(r.eval_latency_ns.count(), r.generated as u64);
+        assert_eq!(r.stats.evaluated, r.generated);
         assert!(r.eval_latency_ns.p50() <= r.eval_latency_ns.p99());
         assert_eq!(snap.counters["tuner.generated"], r.generated as u64);
         assert_eq!(snap.counters["tuner.built"], r.ranking.len() as u64);

@@ -1,6 +1,6 @@
 //! Bound-based sweep pruning never changes the answer.
 //!
-//! The pruned sweeps (`tune_*_pruned`) use the static lower bound to
+//! The pruned sweep (`ResilOptions::prune`) uses the static lower bound to
 //! skip candidates whose best-case Mflops cannot beat the incumbent.
 //! Because the bound is sound (see `cost_soundness.rs`), the winner —
 //! and its exact measured cycles — must be identical to the
@@ -9,7 +9,11 @@
 //! kernel the prune rate clears 25%.
 
 use augem_machine::MachineSpec;
-use augem_tune::{tune_gemm, tune_gemm_pruned, tune_vector, tune_vector_pruned, VectorKernel};
+use augem_resil::Injector;
+use augem_tune::{
+    gemm_candidates, sweep, tune_gemm, tune_vector, vector_candidates, Candidate, EvalCache,
+    ResilOptions, TuneResult, VectorKernel,
+};
 
 fn machines() -> [MachineSpec; 2] {
     [MachineSpec::sandy_bridge(), MachineSpec::piledriver()]
@@ -23,12 +27,32 @@ const VECTOR_KERNELS: [VectorKernel; 5] = [
     VectorKernel::Scal,
 ];
 
+/// The plain sweep with bound pruning, through a fresh cache.
+fn pruned_sweep<C: Candidate + Copy>(candidates: Vec<C>, m: &MachineSpec) -> TuneResult<C> {
+    let opts = ResilOptions {
+        prune: true,
+        ..ResilOptions::plain()
+    };
+    let cache = EvalCache::new();
+    sweep(
+        candidates,
+        m,
+        &opts,
+        None,
+        &Injector::disabled(),
+        augem_obs::null(),
+        &cache,
+    )
+    .expect("pruned sweep")
+}
+
 #[test]
 fn pruned_sweeps_keep_the_exhaustive_winner_on_every_kernel_and_machine() {
     let mut best_rate = 0.0f64;
     for m in machines() {
         let plain = tune_gemm(&m).expect("exhaustive gemm sweep");
-        let (pruned, stats) = tune_gemm_pruned(&m).expect("pruned gemm sweep");
+        let pruned = pruned_sweep(gemm_candidates(&m), &m);
+        let stats = pruned.stats;
         assert_eq!(
             plain.best.tag(),
             pruned.best.tag(),
@@ -51,7 +75,8 @@ fn pruned_sweeps_keep_the_exhaustive_winner_on_every_kernel_and_machine() {
 
         for kernel in VECTOR_KERNELS {
             let plain = tune_vector(kernel, &m).expect("exhaustive vector sweep");
-            let (pruned, stats) = tune_vector_pruned(kernel, &m).expect("pruned vector sweep");
+            let pruned = pruned_sweep(vector_candidates(kernel, &m), &m);
+            let stats = pruned.stats;
             assert_eq!(
                 plain.best.tag(),
                 pruned.best.tag(),

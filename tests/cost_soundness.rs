@@ -12,7 +12,7 @@
 
 use augem_machine::MachineSpec;
 use augem_tune::{
-    gemm_candidates, gemm_eval_args, vector_candidates, vector_eval_args, VectorKernel,
+    gemm_candidates, gemm_eval_args, vector_candidates, vector_eval_args, Candidate, VectorKernel,
 };
 
 fn machines() -> [MachineSpec; 2] {

@@ -29,7 +29,7 @@
 
 use augem_machine::MachineSpec;
 use augem_prof::StallCause;
-use augem_tune::{gemm_eval_args, tune_gemm_pruned, GemmConfig};
+use augem_tune::{gemm_eval_args, tune_gemm, Candidate, GemmConfig};
 use augem_verify::diag::Rule;
 
 /// The dynamic witness for "dependence limited": simulated cycles
@@ -72,7 +72,7 @@ fn analyze_cell(cfg: &GemmConfig, m: &MachineSpec) -> (Cell, augem_asm::AsmKerne
 fn p001_fires_exactly_where_the_simulator_confirms_a_latency_gap() {
     for m in [MachineSpec::sandy_bridge(), MachineSpec::piledriver()] {
         let naive = GemmConfig::fig13();
-        let (winner, _) = tune_gemm_pruned(&m).expect("tune");
+        let winner = tune_gemm(&m).expect("tune");
         for (name, cfg) in [("fig13", &naive), ("winner", &winner.best)] {
             let (cell, _) = analyze_cell(cfg, &m);
             assert_eq!(
@@ -90,7 +90,7 @@ fn p001_fires_exactly_where_the_simulator_confirms_a_latency_gap() {
 #[test]
 fn p001_quiet_on_the_tuned_split_accumulator_winner() {
     for m in [MachineSpec::sandy_bridge(), MachineSpec::piledriver()] {
-        let (winner, _) = tune_gemm_pruned(&m).expect("tune");
+        let winner = tune_gemm(&m).expect("tune");
         let (cell, _) = analyze_cell(&winner.best, &m);
         assert!(
             !cell.fires,

@@ -116,3 +116,40 @@ fn resilient_run_reports_fault_counters_under_the_resil_stage() {
         clean.report.counters
     );
 }
+
+#[test]
+fn degradable_run_report_samples_latency_once_per_simulated_candidate() {
+    let augem = Augem::new(MachineSpec::sandy_bridge());
+    let path = std::env::temp_dir().join(format!("augem-obs-latency-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let policy = DegradationPolicy {
+        resil: ResilOptions::fast(),
+        checkpoint: Some(path.clone()),
+        ..DegradationPolicy::default()
+    };
+    // A clean daxpy sweep simulates every candidate: nothing is pruned,
+    // rejected, skipped by the breaker or restored from a journal.
+    let fresh = augem.generate_degradable(DlaKernel::Axpy, &policy, &Injector::disabled());
+    assert_eq!(fresh.degradation, Degradation::None);
+    let tuner = fresh.report.tuner.as_ref().expect("tuner telemetry");
+    assert!(tuner.failures.is_empty(), "{:?}", tuner.failures);
+    assert_eq!(tuner.eval_latency_ns.count(), tuner.generated);
+
+    // Resuming from the complete journal restores every outcome and
+    // simulates none of them: no samples.
+    let resumed = augem.generate_degradable(
+        DlaKernel::Axpy,
+        &DegradationPolicy {
+            resume: true,
+            ..policy
+        },
+        &Injector::disabled(),
+    );
+    let tuner = resumed.report.tuner.as_ref().expect("tuner telemetry");
+    assert_eq!(
+        resumed.report.counters["resil.journal.resumed"],
+        tuner.generated
+    );
+    assert_eq!(tuner.eval_latency_ns.count(), 0);
+    let _ = std::fs::remove_file(&path);
+}

@@ -14,17 +14,20 @@
 //! is never taken, while the legacy loop only failed on execution.
 //! That difference is pinned by a test rather than papered over.
 //!
-//! A final pair of tests covers the parallel resilient sweep: with a
-//! disabled injector the sweep evaluates candidates speculatively in
-//! parallel but must commit journal entries, rankings, and counters in
-//! sweep order — byte-identical to the sequential path (which an
-//! enabled-but-never-firing injector forces).
+//! A final pair of tests covers the parallel sweep: with a disabled
+//! injector the sweep evaluates candidates speculatively in parallel
+//! (and checks legality in a parallel phase) but must commit journal
+//! entries, rankings, and counters in commit order — byte-identical to
+//! the sequential path (which an enabled-but-never-firing injector
+//! forces). The same holds for the best-first commit order of a pruned
+//! sweep.
 
 use augem::machine::MachineSpec;
 use augem::resil::{journal_header, Fault, InjectionPlan, Injector, Site, Trigger, TuneJournal};
 use augem::sim::{FuncSim, SimError, SimValue};
 use augem::tune::{
-    gemm_candidates, tune_gemm_resilient, vector_candidates, GemmConfig, ResilOptions, VectorKernel,
+    gemm_candidates, sweep as tune_sweep, vector_candidates, EvalCache, GemmConfig, ResilOptions,
+    VectorKernel,
 };
 use augem_asm::{AsmKernel, GpOrImm, Mem, ParamLoc, Width, XInst};
 use augem_machine::{GpReg, IsaSet, VecReg};
@@ -357,16 +360,22 @@ proptest! {
 // Parallel resilient sweep determinism.
 // ---------------------------------------------------------------------------
 
-/// One resilient gemm sweep into an in-memory journal; returns the
+/// One gemm sweep under `opts` into an in-memory journal; returns the
 /// rendered journal entries and the ranking.
-fn sweep(machine: &MachineSpec, injector: &Injector) -> (Vec<String>, Vec<(String, u64)>) {
+fn sweep(
+    machine: &MachineSpec,
+    opts: &ResilOptions,
+    injector: &Injector,
+) -> (Vec<String>, Vec<(String, u64)>) {
     let mut j = TuneJournal::in_memory(journal_header("dgemm", machine.arch.short_name()));
-    let r = tune_gemm_resilient(
+    let r = tune_sweep(
+        gemm_candidates(machine),
         machine,
-        &ResilOptions::fast(),
-        &mut j,
+        opts,
+        Some(&mut j),
         injector,
         augem::obs::null(),
+        &EvalCache::new(),
     )
     .expect("sweep completes");
     let entries = j.entries().iter().map(|e| e.render()).collect();
@@ -380,10 +389,27 @@ fn sweep(machine: &MachineSpec, injector: &Injector) -> (Vec<String>, Vec<(Strin
 
 /// The parallel sweep (disabled injector) must produce byte-identical
 /// journal entries and bit-identical rankings to the sequential path,
-/// which an enabled-but-never-firing injection rule forces.
+/// which an enabled-but-never-firing injection rule forces — with the
+/// parallel legality phase on, and under the best-first commit order of
+/// the pruned sweep.
 #[test]
 fn parallel_sweep_matches_sequential_journal_and_ranking() {
-    for machine in &machines() {
+    let fast = ResilOptions::fast();
+    let option_sets = [
+        fast,
+        ResilOptions {
+            check_legality: true,
+            ..fast
+        },
+        ResilOptions {
+            prune: true,
+            ..fast
+        },
+    ];
+    for (machine, opts) in machines()
+        .iter()
+        .flat_map(|m| option_sets.iter().map(move |o| (m, o)))
+    {
         let parallel = Injector::disabled();
         assert!(!parallel.is_enabled());
         // Nth(u64::MAX) never fires but keeps the injector "enabled",
@@ -395,16 +421,19 @@ fn parallel_sweep_matches_sequential_journal_and_ranking() {
         ));
         assert!(sequential.is_enabled());
 
-        let (pj, pr) = sweep(machine, &parallel);
-        let (sj, sr) = sweep(machine, &sequential);
-        assert_eq!(
-            pj,
-            sj,
-            "journal bytes differ on {}",
-            machine.arch.short_name()
-        );
-        assert_eq!(pr, sr, "ranking differs on {}", machine.arch.short_name());
+        let (pj, pr) = sweep(machine, opts, &parallel);
+        let (sj, sr) = sweep(machine, opts, &sequential);
+        let at = format!("{} {opts:?}", machine.arch.short_name());
+        assert_eq!(pj, sj, "journal bytes differ on {at}");
+        assert_eq!(pr, sr, "ranking differs on {at}");
         assert!(!pj.is_empty(), "empty journal");
+        // Every option set answers with the plain sweep's ranking.
+        let (_, plain) = sweep(machine, &fast, &parallel);
+        if !opts.prune {
+            assert_eq!(pr, plain, "ranking differs from the plain sweep on {at}");
+        } else {
+            assert_eq!(pr[0], plain[0], "pruning changed the winner on {at}");
+        }
     }
 }
 
@@ -412,7 +441,7 @@ fn parallel_sweep_matches_sequential_journal_and_ranking() {
 #[test]
 fn parallel_sweep_is_reproducible() {
     let machine = MachineSpec::sandy_bridge();
-    let a = sweep(&machine, &Injector::disabled());
-    let b = sweep(&machine, &Injector::disabled());
+    let a = sweep(&machine, &ResilOptions::fast(), &Injector::disabled());
+    let b = sweep(&machine, &ResilOptions::fast(), &Injector::disabled());
     assert_eq!(a, b);
 }
