@@ -114,12 +114,14 @@ cargo test --release -q --test lint_prof_agreement
 
 echo "== cost bench: prune rates, winner preservation, bound-phase cost"
 # The binary exits non-zero if pruning changes any winner, the bound
-# phases cost >= 1% of the exhaustive sweeps, or no kernel prunes 25%.
+# phases cost >= 1% of the exhaustive sweeps, no kernel prunes 25%, or
+# the pruned sweeps take more than 80% of the exhaustive sweeps' time.
 ./target/release/figures cost
 test -f BENCH_cost.json
 grep -q '"schema": "augem.bench-cost/v1"' BENCH_cost.json
 grep -q '"winners_preserved": true' BENCH_cost.json
 grep -q '"bound_phase_under_1pct": true' BENCH_cost.json
+grep -q '"pruned_sweeps_under_80pct": true' BENCH_cost.json
 
 echo "== lint smoke: --lint flags the Figure-13 chain, clean on the winner"
 LINT_TMP=$(mktemp -d)

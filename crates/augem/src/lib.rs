@@ -216,7 +216,11 @@ impl Default for VerifyOptions {
 /// and where (if anywhere) to checkpoint the sweep.
 #[derive(Debug, Clone)]
 pub struct DegradationPolicy {
-    /// Sandbox / budget / retry / breaker knobs for the tuning sweep.
+    /// Sandbox / budget / retry / breaker knobs for the tuning sweep. The
+    /// default prunes by static bound ([`ResilOptions::prune`]): the
+    /// winner is the exhaustive sweep's, and fewer candidates are
+    /// simulated. The ranking the fallback ladder walks then holds only
+    /// the candidates that were simulated.
     pub resil: ResilOptions,
     /// Verification stages run over each candidate winner.
     pub verify: VerifyOptions,
@@ -233,7 +237,10 @@ pub struct DegradationPolicy {
 impl Default for DegradationPolicy {
     fn default() -> Self {
         DegradationPolicy {
-            resil: ResilOptions::default(),
+            resil: ResilOptions {
+                prune: true,
+                ..ResilOptions::default()
+            },
             verify: VerifyOptions::default(),
             max_next_ranked: 3,
             checkpoint: None,

@@ -547,16 +547,25 @@ fn winner_preserved<C: Candidate>(plain: &TuneResult<C>, with: &TuneResult<C>) -
         && plain.best_eval.report.cycles == with.best_eval.report.cycles
 }
 
-/// One pruned-vs-exhaustive sweep comparison. Returns the JSON entry
-/// plus the gate ingredients: winner preservation, the prune rate, the
-/// bound phase's seconds and the exhaustive sweep's seconds. `naive` is
-/// an extra configuration whose bound tightness is reported next to
-/// the winner's.
+/// One pruned-vs-exhaustive sweep comparison: the JSON entry plus the
+/// gate ingredients.
+struct CostSweep {
+    entry: Json,
+    winner_preserved: bool,
+    prune_rate: f64,
+    bound_s: f64,
+    exhaustive_s: f64,
+    pruned_s: f64,
+}
+
+/// Runs one pruned-vs-exhaustive sweep comparison. `naive` is an extra
+/// configuration whose bound tightness is reported next to the
+/// winner's.
 fn cost_sweep<C: Candidate + Copy>(
     candidates: Vec<C>,
     machine: &MachineSpec,
     naive: Option<C>,
-) -> Result<(Json, bool, f64, f64, f64), String> {
+) -> Result<CostSweep, String> {
     let opts = ResilOptions {
         prune: true,
         ..ResilOptions::plain()
@@ -615,7 +624,14 @@ fn cost_sweep<C: Candidate + Copy>(
             ),
         ),
     ]);
-    Ok((entry, preserved, prune_rate, bound_s, exhaustive_s))
+    Ok(CostSweep {
+        entry,
+        winner_preserved: preserved,
+        prune_rate,
+        bound_s,
+        exhaustive_s,
+        pruned_s,
+    })
 }
 
 /// Bound tightness (static bound / simulated cycles) for one built
@@ -646,13 +662,16 @@ fn tightness<C: Candidate>(cfg: &C, machine: &MachineSpec) -> Option<(String, f6
 /// of the exhaustive sweeps overall (per-sweep fractions are reported
 /// in the JSON; the gate is the aggregate, since the steady-regime
 /// GEMM sweep is milliseconds long and its denominator tells us
-/// nothing about analyzer cost), or when no kernel reaches a 25%
-/// prune rate.
+/// nothing about analyzer cost), when no kernel reaches a 25% prune
+/// rate, or when the pruned sweeps together take more than 80% of the
+/// exhaustive sweeps' wall time (pruning that saves no time is not
+/// worth its order dependence).
 fn emit_cost_report(platforms: &[MachineSpec]) -> bool {
     let mut entries = Vec::new();
     let mut winners_ok = true;
     let mut total_bound_s = 0.0f64;
     let mut total_exhaustive_s = 0.0f64;
+    let mut total_pruned_s = 0.0f64;
     let mut best_rate = 0.0f64;
 
     for machine in platforms {
@@ -662,12 +681,13 @@ fn emit_cost_report(platforms: &[MachineSpec]) -> bool {
             .map(|&vk| cost_sweep(vector_candidates(vk, machine), machine, None));
         for sweep in std::iter::once(gemm).chain(vector) {
             match sweep {
-                Ok((entry, ok, rate, bound_s, exhaustive_s)) => {
-                    entries.push(entry);
-                    winners_ok &= ok;
-                    total_bound_s += bound_s;
-                    total_exhaustive_s += exhaustive_s;
-                    best_rate = best_rate.max(rate);
+                Ok(c) => {
+                    entries.push(c.entry);
+                    winners_ok &= c.winner_preserved;
+                    total_bound_s += c.bound_s;
+                    total_exhaustive_s += c.exhaustive_s;
+                    total_pruned_s += c.pruned_s;
+                    best_rate = best_rate.max(c.prune_rate);
                 }
                 Err(why) => {
                     eprintln!("cost bench: {why}");
@@ -680,12 +700,16 @@ fn emit_cost_report(platforms: &[MachineSpec]) -> bool {
     let total_frac = total_bound_s / total_exhaustive_s.max(1e-12);
     let bound_cheap = total_frac < 0.01;
     let rate_ok = best_rate >= 0.25;
-    let ok = winners_ok && bound_cheap && rate_ok;
+    let pruned_frac = total_pruned_s / total_exhaustive_s.max(1e-12);
+    let pruned_faster = pruned_frac <= 0.8;
+    let ok = winners_ok && bound_cheap && rate_ok && pruned_faster;
     let doc = Json::obj(vec![
         ("schema", Json::str("augem.bench-cost/v1")),
         ("winners_preserved", Json::Bool(winners_ok)),
         ("bound_phase_under_1pct", Json::Bool(bound_cheap)),
         ("bound_phase_total_frac", Json::Num(total_frac)),
+        ("pruned_sweeps_under_80pct", Json::Bool(pruned_faster)),
+        ("pruned_over_exhaustive_s", Json::Num(pruned_frac)),
         ("best_prune_rate", Json::Num(best_rate)),
         ("sweeps", Json::Arr(entries)),
     ]);
@@ -708,6 +732,12 @@ fn emit_cost_report(platforms: &[MachineSpec]) -> bool {
     }
     if !rate_ok {
         eprintln!("cost bench FAILED: best prune rate {best_rate:.2} below 25%");
+    }
+    if !pruned_faster {
+        eprintln!(
+            "cost bench FAILED: pruned sweeps take {:.0}% of the exhaustive sweeps' wall time (gate: <=80%)",
+            pruned_frac * 100.0
+        );
     }
     ok
 }

@@ -38,6 +38,7 @@
 
 use augem_asm::{AsmKernel, XInst};
 use augem_machine::{InstClass, MachineSpec, TimingModel};
+use std::collections::HashMap;
 
 /// The dependency bound contribution of one loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,15 +84,12 @@ fn is_mem_class(class: InstClass) -> bool {
 }
 
 /// Accumulates per-port-mask micro-op counts for `insts` weighted by
-/// `counts`, then maximizes `ceil(U_S / |S|)` over all port subsets.
-/// `mem_only` restricts to memory-class micro-ops.
-pub(crate) fn port_bound_for_counts(
-    insts: &[XInst],
-    counts: &[u64],
-    tm: &TimingModel,
-    mem_only: bool,
-) -> u64 {
-    let mut uops_by_mask = [0u64; 256];
+/// `counts`, then maximizes `ceil(U_S / |S|)` over all port subsets:
+/// once over every micro-op (the port bound) and once over
+/// memory-class micro-ops only (the memory-port bound).
+pub(crate) fn port_bounds(insts: &[XInst], counts: &[u64], tm: &TimingModel) -> (u64, u64) {
+    let mut all_by_mask = [0u64; 256];
+    let mut mem_by_mask = [0u64; 256];
     for (inst, &count) in insts.iter().zip(counts) {
         if count == 0 {
             continue;
@@ -99,9 +97,6 @@ pub(crate) fn port_bound_for_counts(
         let Some((class, mode)) = inst.class() else {
             continue;
         };
-        if mem_only && !is_mem_class(class) {
-            continue;
-        }
         let t = tm.timing(class, mode);
         // Mirror the scoreboard's issue loop: ports >= num_ports are
         // filtered out, and a micro-op with no valid port is dropped.
@@ -113,9 +108,23 @@ pub(crate) fn port_bound_for_counts(
         if mask == 0 {
             continue;
         }
-        uops_by_mask[mask as usize] =
-            uops_by_mask[mask as usize].saturating_add((t.uops as u64).saturating_mul(count));
+        let uops = (t.uops as u64).saturating_mul(count);
+        let slot = &mut all_by_mask[mask as usize];
+        *slot = slot.saturating_add(uops);
+        if is_mem_class(class) {
+            let slot = &mut mem_by_mask[mask as usize];
+            *slot = slot.saturating_add(uops);
+        }
     }
+    (
+        subset_bound(&all_by_mask, tm.num_ports),
+        subset_bound(&mem_by_mask, tm.num_ports),
+    )
+}
+
+/// `max over port subsets S of ceil(U_S / |S|)`, where `U_S` sums the
+/// micro-ops whose port mask lies inside `S`.
+fn subset_bound(uops_by_mask: &[u64; 256], num_ports: u8) -> u64 {
     // Only a handful of distinct port masks ever occur; maximize over
     // subsets against that sparse set rather than all 256 mask slots.
     let present: Vec<(u32, u64)> = uops_by_mask
@@ -124,7 +133,7 @@ pub(crate) fn port_bound_for_counts(
         .filter(|&(_, &uops)| uops != 0)
         .map(|(mask, &uops)| (mask as u32, uops))
         .collect();
-    let full: u32 = (1u32 << tm.num_ports) - 1;
+    let full: u32 = (1u32 << num_ports) - 1;
     let mut bound = 0u64;
     for s in 1..=full {
         let mut in_s = 0u64;
@@ -151,11 +160,26 @@ fn chain_latency(inst: &XInst, machine: &MachineSpec) -> Option<u64> {
     })
 }
 
-/// Register key spaces are disjoint: vector and general-purpose.
-#[derive(Default, Clone)]
-struct ChainState {
-    vec: [Option<u64>; 16],
-    gp: [Option<u64>; 16],
+/// One body instruction reduced to what a chain walk reads: its link
+/// latency and its register uses and defs (uses as bit sets; a register
+/// used twice feeds the chain once).
+struct Link {
+    lat: u64,
+    vec_uses: u16,
+    gp_uses: u16,
+    vec_def: Option<usize>,
+    gp_def: Option<usize>,
+}
+
+/// Longest chain value among the registers in `uses`, if any is chained.
+fn chained(mut uses: u16, regs: &[Option<u64>; 16]) -> Option<u64> {
+    let mut val = None;
+    while uses != 0 {
+        let r = uses.trailing_zeros() as usize;
+        uses &= uses - 1;
+        val = val.max(regs[r]);
+    }
+    val
 }
 
 /// Longest dependence chain, in cycles, from the body-entry value of one
@@ -173,68 +197,84 @@ pub(crate) fn max_carried_chain(
     vec_only: bool,
 ) -> u64 {
     let body = &insts[target + 1..=branch];
+    // Decode the body once; every candidate's walk reuses it.
+    let links: Vec<Link> = body
+        .iter()
+        .filter_map(|inst| {
+            let lat = chain_latency(inst, machine)?;
+            Some(Link {
+                lat,
+                vec_uses: inst.vec_uses().iter().fold(0, |m, v| m | 1 << (v.0 & 15)),
+                gp_uses: inst.gp_uses().iter().fold(0, |m, g| m | 1 << (g.0 & 15)),
+                vec_def: inst.vec_def().map(|v| (v.0 & 15) as usize),
+                gp_def: inst.gp_def().map(|g| (g.0 & 15) as usize),
+            })
+        })
+        .collect();
     // Candidates: registers the body writes (a register it never writes
-    // carries no latency around the backedge).
-    let mut cand_vec = [false; 16];
-    let mut cand_gp = [false; 16];
+    // carries no latency around the backedge) and that a link reads
+    // before any link writes them (otherwise that write cuts the chain
+    // from the entry value, and the walk would return 0).
+    let (mut cand_vec, mut cand_gp) = (0u16, 0u16);
     for inst in body {
         if let Some(v) = inst.vec_def() {
-            cand_vec[(v.0 & 15) as usize] = true;
+            cand_vec |= 1 << (v.0 & 15);
         }
         if let Some(g) = inst.gp_def() {
-            cand_gp[(g.0 & 15) as usize] = true;
+            cand_gp |= 1 << (g.0 & 15);
         }
     }
-    let mut best = 0u64;
+    let (mut read_first_vec, mut read_first_gp) = (0u16, 0u16);
+    let (mut linked_vec, mut linked_gp) = (0u16, 0u16);
+    for l in &links {
+        read_first_vec |= l.vec_uses & !linked_vec;
+        read_first_gp |= l.gp_uses & !linked_gp;
+        if let Some(v) = l.vec_def {
+            linked_vec |= 1 << v;
+        }
+        if let Some(g) = l.gp_def {
+            linked_gp |= 1 << g;
+        }
+    }
+    cand_vec &= read_first_vec;
+    cand_gp &= read_first_gp;
     let run = |seed_vec: Option<usize>, seed_gp: Option<usize>| -> u64 {
-        let mut st = ChainState::default();
+        let mut vec = [None; 16];
+        let mut gp = [None; 16];
         if let Some(v) = seed_vec {
-            st.vec[v] = Some(0);
+            vec[v] = Some(0);
         }
         if let Some(g) = seed_gp {
-            st.gp[g] = Some(0);
+            gp[g] = Some(0);
         }
-        for inst in body {
-            let Some(lat) = chain_latency(inst, machine) else {
-                continue;
-            };
+        for l in &links {
             // Longest chain feeding this instruction, if any input is
             // itself chained from the seed.
-            let mut val: Option<u64> = None;
-            for v in inst.vec_uses() {
-                if let Some(w) = st.vec[(v.0 & 15) as usize] {
-                    val = Some(val.map_or(w, |x: u64| x.max(w)));
-                }
-            }
-            for g in inst.gp_uses() {
-                if let Some(w) = st.gp[(g.0 & 15) as usize] {
-                    val = Some(val.map_or(w, |x: u64| x.max(w)));
-                }
-            }
-            let out = val.map(|v| v.saturating_add(lat));
+            let val = match (chained(l.vec_uses, &vec), chained(l.gp_uses, &gp)) {
+                (Some(a), Some(b)) => Some(a.max(b)),
+                (a, b) => a.or(b),
+            };
+            let out = val.map(|v| v.saturating_add(l.lat));
             // A def either extends the chain or (seeded from no chained
             // input) breaks it.
-            if let Some(v) = inst.vec_def() {
-                st.vec[(v.0 & 15) as usize] = out;
+            if let Some(v) = l.vec_def {
+                vec[v] = out;
             }
-            if let Some(g) = inst.gp_def() {
-                st.gp[(g.0 & 15) as usize] = out;
+            if let Some(g) = l.gp_def {
+                gp[g] = out;
             }
         }
-        let end_vec = seed_vec.and_then(|v| st.vec[v]).unwrap_or(0);
-        let end_gp = seed_gp.and_then(|g| st.gp[g]).unwrap_or(0);
+        let end_vec = seed_vec.and_then(|v| vec[v]).unwrap_or(0);
+        let end_gp = seed_gp.and_then(|g| gp[g]).unwrap_or(0);
         end_vec.max(end_gp)
     };
-    for (v, &c) in cand_vec.iter().enumerate() {
-        if c {
-            best = best.max(run(Some(v), None));
-        }
+    let mut best = 0u64;
+    for v in (0..16).filter(|v| cand_vec & (1 << v) != 0) {
+        best = best.max(run(Some(v), None));
     }
     if !vec_only {
-        for (g, &c) in cand_gp.iter().enumerate() {
-            if c {
-                best = best.max(run(None, Some(g)));
-            }
+        for g in (0..16).filter(|g| cand_gp & (1 << g) != 0) {
+            best = best.max(run(None, Some(g)));
         }
     }
     best
@@ -244,13 +284,20 @@ pub(crate) fn max_carried_chain(
 /// both the dependency bound and the loop-shaped lints reason about.
 /// Returns `(branch_pc, target_pc)` pairs.
 pub(crate) fn simple_loops(kernel: &AsmKernel) -> Vec<(usize, usize)> {
+    // First definition wins, as in `AsmKernel::label_index`.
+    let mut labels: HashMap<&str, usize> = HashMap::new();
+    for (pc, inst) in kernel.insts.iter().enumerate() {
+        if let XInst::Label(l) = inst {
+            labels.entry(l.as_str()).or_insert(pc);
+        }
+    }
     let mut loops = Vec::new();
     for (pc, inst) in kernel.insts.iter().enumerate() {
         let label = match inst {
             XInst::Jl(l) | XInst::Jge(l) => l,
             _ => continue,
         };
-        let Some(t) = kernel.label_index(label) else {
+        let Some(&t) = labels.get(label.as_str()) else {
             continue;
         };
         if t >= pc {
@@ -297,8 +344,7 @@ pub fn compute_bounds(
     } else {
         (dyn_classed - 1) / tm.issue_width as u64 + 1
     };
-    let port_bound = port_bound_for_counts(&kernel.insts, counts, tm, false);
-    let mem_bound = port_bound_for_counts(&kernel.insts, counts, tm, true);
+    let (port_bound, mem_bound) = port_bounds(&kernel.insts, counts, tm);
 
     let mut loops = Vec::new();
     let mut dep_bound = 0u64;
@@ -438,10 +484,10 @@ mod tests {
             w: Width::V2,
         });
         let counts = vec![37u64];
-        let b = port_bound_for_counts(&k.insts, &counts, &snb().timing, false);
+        let b = port_bounds(&k.insts, &counts, &snb().timing).0;
         assert_eq!(b, 37);
         // Memory-only bound ignores the multiplies entirely.
-        let m = port_bound_for_counts(&k.insts, &counts, &snb().timing, true);
+        let m = port_bounds(&k.insts, &counts, &snb().timing).1;
         assert_eq!(m, 0);
     }
 
@@ -459,14 +505,8 @@ mod tests {
             k
         };
         let counts = vec![10u64];
-        assert_eq!(
-            port_bound_for_counts(&k.insts, &counts, &snb().timing, false),
-            5
-        );
-        assert_eq!(
-            port_bound_for_counts(&k.insts, &counts, &snb().timing, true),
-            5
-        );
+        assert_eq!(port_bounds(&k.insts, &counts, &snb().timing).0, 5);
+        assert_eq!(port_bounds(&k.insts, &counts, &snb().timing).1, 5);
     }
 
     #[test]

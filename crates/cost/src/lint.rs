@@ -25,7 +25,7 @@ use augem_asm::{AsmKernel, GpOrImm, XInst};
 use augem_machine::MachineSpec;
 use augem_verify::diag::{dedup, Diagnostic, Rule, Span};
 
-use crate::bounds::{innermost_loops, max_carried_chain, port_bound_for_counts};
+use crate::bounds::{innermost_loops, max_carried_chain, port_bounds};
 use crate::walk::{summarize_body, MemKind, Sym};
 
 /// The stride (bytes per iteration) beyond which the simulated stream
@@ -71,7 +71,7 @@ pub fn lint(kernel: &AsmKernel, machine: &MachineSpec) -> Vec<Diagnostic> {
 
         // P001: carried FP chain vs. one iteration's throughput bound.
         let chain = max_carried_chain(&kernel.insts, target, branch, machine, true);
-        let port = port_bound_for_counts(body, &ones, tm, false);
+        let port = port_bounds(body, &ones, tm).0;
         let classed = body.iter().filter(|i| i.class().is_some()).count() as u64;
         let front = if classed == 0 {
             0
@@ -177,7 +177,7 @@ pub fn lint(kernel: &AsmKernel, machine: &MachineSpec) -> Vec<Diagnostic> {
         if let Some(prog) = &decoded {
             let has_prefetch = body.iter().any(|i| matches!(i, XInst::Prefetch { .. }));
             if !has_prefetch {
-                if let Some(sum) = summarize_body(&prog.ops, target, branch) {
+                if let Some(sum) = summarize_body(&prog.ops, target, branch, None) {
                     let strided = sum.mem_ops.iter().any(|m| {
                         if m.kind != MemKind::Load {
                             return false;

@@ -108,6 +108,9 @@ pub(crate) enum MemKind {
     FpStore,
     /// GP spill store: rewritten by the final concrete iteration.
     GpStore,
+    /// GP load of a fixed spill slot the same body stored earlier: its
+    /// value is the stored register's, so it must hit the spill stack.
+    SpillLoad,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -132,11 +135,38 @@ pub(crate) struct BodySummary {
     pub(crate) body_len: u64,
 }
 
+/// GP register a decoded op writes, if any.
+fn gp_dst(op: &DecodedOp) -> Option<u8> {
+    match *op {
+        DecodedOp::IMovImm { dst, .. }
+        | DecodedOp::IMov { dst, .. }
+        | DecodedOp::IAddR { dst, .. }
+        | DecodedOp::IAddI { dst, .. }
+        | DecodedOp::ISubR { dst, .. }
+        | DecodedOp::ISubI { dst, .. }
+        | DecodedOp::IMulR { dst, .. }
+        | DecodedOp::IMulI { dst, .. }
+        | DecodedOp::Lea { dst, .. }
+        | DecodedOp::ILoad { dst, .. } => Some(dst),
+        _ => None,
+    }
+}
+
 /// Summarizes the body of a backward conditional branch at `br` with
 /// target `t`. Returns `None` when the body cannot be accelerated:
 /// inner control flow, a GP load (its value would enter live state), a
 /// non-affine register effect, an opaque compare or access address.
-pub(crate) fn summarize_body(ops: &[DecodedOp], t: usize, br: usize) -> Option<BodySummary> {
+///
+/// With `entry = Some(gp)`, the summary is specialized to one entry into
+/// the loop: registers the body never writes hold `gp`'s values on every
+/// iteration, so they enter as constants. A pointer advanced by a
+/// loop-invariant stride register (`lea (%r, %s, 8), %r`) is then affine.
+pub(crate) fn summarize_body(
+    ops: &[DecodedOp],
+    t: usize,
+    br: usize,
+    entry: Option<&[i64; 16]>,
+) -> Option<BodySummary> {
     // Straight-line: no control flow strictly inside the body.
     if ops[t + 1..br].iter().any(|op| {
         matches!(
@@ -147,9 +177,27 @@ pub(crate) fn summarize_body(ops: &[DecodedOp], t: usize, br: usize) -> Option<B
         return None;
     }
     let mut syms: [Sym; 16] = core::array::from_fn(|r| Sym::Entry(r as u8, 0));
+    if let Some(gp) = entry {
+        let mut written = [false; 16];
+        for op in &ops[t + 1..br] {
+            if let Some(d) = gp_dst(op) {
+                written[(d & 15) as usize] = true;
+            }
+        }
+        for r in (0..16).filter(|&r| !written[r]) {
+            syms[r] = Sym::Const(gp[r]);
+        }
+    }
     let mut cmp = (Sym::Opaque, Sym::Opaque);
     let mut mem_ops = Vec::new();
+    // GP stores earlier in this body, `(address, value)`, that no later
+    // store may have overwritten: a reload of the same address forwards
+    // the value (the spill/restore pairs of register-starved bodies).
+    let mut stored: Vec<(Sym, Sym)> = Vec::new();
     for op in &ops[t + 1..br] {
+        if let Some((addr, elems)) = store_target(op, &syms) {
+            stored.retain(|&(a, _)| disjoint(a, addr, elems));
+        }
         match *op {
             DecodedOp::IMovImm { dst, imm } => syms[dst as usize] = Sym::Const(imm),
             DecodedOp::IMov { dst, src } => syms[dst as usize] = syms[src as usize],
@@ -192,14 +240,29 @@ pub(crate) fn summarize_body(ops: &[DecodedOp], t: usize, br: usize) -> Option<B
                 }
                 syms[dst as usize] = v;
             }
-            // A GP load's value would flow into live state the skip
-            // cannot reproduce; refuse the whole body.
-            DecodedOp::ILoad { .. } => return None,
-            DecodedOp::IStore { base, disp, .. } => mem_ops.push(MemOpSum {
-                kind: MemKind::GpStore,
-                elems: 1,
-                addr: syms[base as usize].add_const(disp),
-            }),
+            // Any other GP load's value would flow into live state the
+            // skip cannot reproduce; refuse the whole body.
+            DecodedOp::ILoad { dst, base, disp } => {
+                let addr = syms[base as usize].add_const(disp);
+                let (_, value) = *stored.iter().rev().find(|&&(a, _)| a == addr)?;
+                mem_ops.push(MemOpSum {
+                    kind: MemKind::SpillLoad,
+                    elems: 1,
+                    addr,
+                });
+                syms[dst as usize] = value;
+            }
+            DecodedOp::IStore { src, base, disp } => {
+                let addr = syms[base as usize].add_const(disp);
+                mem_ops.push(MemOpSum {
+                    kind: MemKind::GpStore,
+                    elems: 1,
+                    addr,
+                });
+                if addr != Sym::Opaque {
+                    stored.push((addr, syms[src as usize]));
+                }
+            }
             DecodedOp::CmpR { a, b } => cmp = (syms[a as usize], syms[b as usize]),
             DecodedOp::CmpI { a, imm } => cmp = (syms[a as usize], Sym::Const(imm)),
             DecodedOp::FLoad {
@@ -281,6 +344,32 @@ pub(crate) fn summarize_body(ops: &[DecodedOp], t: usize, br: usize) -> Option<B
         mem_ops,
         body_len: (br - t) as u64,
     })
+}
+
+/// The address and element count a store writes, if `op` is a store.
+fn store_target(op: &DecodedOp, syms: &[Sym; 16]) -> Option<(Sym, i64)> {
+    let (base, disp, elems) = match *op {
+        DecodedOp::IStore { base, disp, .. } | DecodedOp::FStore { base, disp, .. } => {
+            (base, disp, 1)
+        }
+        DecodedOp::FStore2 { base, disp, .. } => (base, disp, 2),
+        DecodedOp::FStore4 { base, disp, .. } => (base, disp, 4),
+        _ => return None,
+    };
+    Some((syms[base as usize].add_const(disp), elems))
+}
+
+/// Do a one-element access at `a` and an `elems`-element access at `b`
+/// provably not overlap? Only offsets from the same base are compared.
+fn disjoint(a: Sym, b: Sym, elems: i64) -> bool {
+    let (oa, ob) = match (a, b) {
+        (Sym::Entry(ra, oa), Sym::Entry(rb, ob)) if ra == rb => (oa, ob),
+        (Sym::Const(oa), Sym::Const(ob)) => (oa, ob),
+        _ => return false,
+    };
+    // Element `a` is [oa, oa+8); the store covers [ob, ob+8*elems).
+    oa.checked_add(8).is_some_and(|ea| ea <= ob)
+        || ob.checked_add(8 * elems).is_some_and(|eb| eb <= oa)
 }
 
 /// Mirror of the simulator's address resolution: array index, alignment,
@@ -367,8 +456,9 @@ fn eval_affine(sym: Sym, gp: &[i64; 16], sum: &BodySummary) -> (i128, i128) {
         Sym::Const(c) => (c as i128, 0),
         Sym::Entry(r, o) => {
             let base = gp[r as usize] as i128 + o as i128;
-            // A const-effect register is already settled (the body just
-            // ran), so its entry value never changes across iterations.
+            // A const-effect register is already settled (the walk skips
+            // only then), so its entry value never changes across
+            // iterations.
             let d = sum.deltas[r as usize].unwrap_or(0) as i128;
             (base, d)
         }
@@ -440,13 +530,14 @@ pub fn walk(
     let mut counts = vec![0u64; n];
     let mut cur_run = vec![0u64; n];
     let mut max_run = vec![0u64; n];
-    // Bodies of backward conditional branches, summarized once.
-    let mut summaries: Vec<Option<BodySummary>> = vec![None; n];
+    // Bodies of backward conditional branches, summarized once. Boxed:
+    // a summary is a few hundred bytes and most pcs have none.
+    let mut summaries: Vec<Option<Box<BodySummary>>> = (0..n).map(|_| None).collect();
     for (pc, op) in ops.iter().enumerate() {
         if let DecodedOp::Jl { target } | DecodedOp::Jge { target } = *op {
             let t = target as usize;
             if t < pc {
-                summaries[pc] = summarize_body(ops, t, pc);
+                summaries[pc] = summarize_body(ops, t, pc, None).map(Box::new);
             }
         }
     }
@@ -606,20 +697,36 @@ pub fn walk(
                         max_run[pc] = cur_run[pc];
                     }
                     let t = target as usize;
-                    // Accelerate only once a full straight-line body run
-                    // precedes us (run >= 2), so const-effect registers
-                    // are settled to their fixed values.
-                    if cur_run[pc] >= 2 {
-                        if let Some(sum) = &summaries[pc] {
-                            if let Some(skip) = try_skip(sum, &mut st, is_jl) {
-                                for c in &mut counts[t + 1..=pc] {
-                                    *c += skip;
-                                }
-                                steps = steps.saturating_add(skip.saturating_mul(sum.body_len));
-                                cur_run[pc] += skip;
-                                if max_run[pc] < cur_run[pc] {
-                                    max_run[pc] = cur_run[pc];
-                                }
+                    // A body without an entry-independent summary is
+                    // summarized on entry into the loop, against the
+                    // registers it leaves untouched.
+                    let entry_sum;
+                    let sum = match &summaries[pc] {
+                        Some(sum) => Some(&**sum),
+                        None if cur_run[pc] <= 2 && t < pc => {
+                            entry_sum = summarize_body(ops, t, pc, Some(&st.gp));
+                            entry_sum.as_ref()
+                        }
+                        None => None,
+                    };
+                    // Accelerate once const-effect registers hold their
+                    // fixed values: always after a full straight-line
+                    // body run (run >= 2), and already at the first
+                    // backedge when the loop head left them so (a loop
+                    // entered mid-body may not have).
+                    let settled = |sum: &&BodySummary| {
+                        cur_run[pc] >= 2
+                            || (0..16).all(|r| sum.consts[r].is_none_or(|c| st.gp[r] == c))
+                    };
+                    if let Some(sum) = sum.filter(settled) {
+                        if let Some(skip) = try_skip(sum, &mut st, is_jl) {
+                            for c in &mut counts[t + 1..=pc] {
+                                *c += skip;
+                            }
+                            steps = steps.saturating_add(skip.saturating_mul(sum.body_len));
+                            cur_run[pc] += skip;
+                            if max_run[pc] < cur_run[pc] {
+                                max_run[pc] = cur_run[pc];
                             }
                         }
                     }
@@ -695,6 +802,13 @@ fn try_skip(sum: &BodySummary, st: &mut WalkState, is_jl: bool) -> Option<u64> {
                 // values the walk cannot reproduce. A fixed slot is
                 // rewritten by the final concrete iteration.
                 if on_stack && dm != 0 {
+                    return None;
+                }
+            }
+            MemKind::SpillLoad => {
+                // The walk forwards stores only through the spill stack;
+                // a GP load of user data stops the concrete walk too.
+                if !on_stack || dm != 0 {
                     return None;
                 }
             }

@@ -7,8 +7,11 @@
 use augem_machine::{CacheHierarchy, CacheLevel};
 
 struct Level {
-    /// `sets[set]` holds line tags in LRU order (front = most recent).
-    sets: Vec<Vec<u64>>,
+    /// Set `s` holds its line tags in `tags[s * assoc..][..len[s]]`, in
+    /// LRU order (front = most recent). Both vectors start zeroed, so a
+    /// large level's pages are only faulted in as its sets fill.
+    tags: Vec<u64>,
+    len: Vec<u32>,
     assoc: usize,
     set_shift: u32,
     set_mask: u64,
@@ -25,7 +28,8 @@ impl Level {
             "set count must be a power of two"
         );
         Level {
-            sets: vec![Vec::new(); num_sets],
+            tags: vec![0; num_sets * assoc],
+            len: vec![0; num_sets],
             assoc,
             set_shift: spec.line.trailing_zeros(),
             set_mask: (num_sets - 1) as u64,
@@ -40,16 +44,24 @@ impl Level {
     /// Returns true on hit; updates LRU either way (fills on miss).
     fn access(&mut self, line: u64) -> bool {
         let set = self.set_of(line);
-        let ways = &mut self.sets[set];
+        let base = set * self.assoc;
+        let len = self.len[set] as usize;
+        let ways = &mut self.tags[base..base + len];
+        if ways.first() == Some(&line) {
+            // Already most recent: nothing moves.
+            return true;
+        }
         if let Some(pos) = ways.iter().position(|&t| t == line) {
-            let t = ways.remove(pos);
-            ways.insert(0, t);
+            ways.copy_within(0..pos, 1);
+            ways[0] = line;
             true
         } else {
-            ways.insert(0, line);
-            if ways.len() > self.assoc {
-                ways.pop();
-            }
+            // Shift right, dropping the LRU way when the set is full.
+            let keep = len.min(self.assoc - 1);
+            let ways = &mut self.tags[base..=base + keep];
+            ways.copy_within(0..keep, 1);
+            ways[0] = line;
+            self.len[set] = keep as u32 + 1;
             false
         }
     }
@@ -179,6 +191,101 @@ impl CacheSim {
 mod tests {
     use super::*;
     use augem_machine::MachineSpec;
+
+    /// The Vec-per-set LRU the flat [`Level`] replaced: the reference it
+    /// must agree with access for access.
+    struct RefLevel {
+        sets: Vec<Vec<u64>>,
+        assoc: usize,
+        set_mask: u64,
+    }
+
+    impl RefLevel {
+        fn new(spec: &CacheLevel) -> Self {
+            let lines = (spec.size / spec.line).max(1);
+            let assoc = spec.assoc.max(1).min(lines);
+            let num_sets = (lines / assoc).max(1);
+            RefLevel {
+                sets: vec![Vec::new(); num_sets],
+                assoc,
+                set_mask: (num_sets - 1) as u64,
+            }
+        }
+
+        fn access(&mut self, line: u64) -> bool {
+            let ways = &mut self.sets[(line & self.set_mask) as usize];
+            if let Some(pos) = ways.iter().position(|&t| t == line) {
+                let t = ways.remove(pos);
+                ways.insert(0, t);
+                true
+            } else {
+                ways.insert(0, line);
+                if ways.len() > self.assoc {
+                    ways.pop();
+                }
+                false
+            }
+        }
+    }
+
+    #[test]
+    fn flat_levels_match_vec_per_set_reference() {
+        for machine in [MachineSpec::sandy_bridge(), MachineSpec::piledriver()] {
+            let h = &machine.caches;
+            let specs: Vec<&CacheLevel> = [&h.l1d, &h.l2].into_iter().chain(&h.l3).collect();
+            let mut flat: Vec<Level> = specs.iter().map(|s| Level::new(s)).collect();
+            let mut reference: Vec<RefLevel> = specs.iter().map(|s| RefLevel::new(s)).collect();
+            // xorshift64: a seeded stream of reuse, set conflicts, line 0
+            // and fills, walked through the hierarchy as `access_line`
+            // walks it.
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            let mut recent = [0u64; 8];
+            for step in 0..200_000usize {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let line = match x % 4 {
+                    0 => recent[(x >> 8) as usize % recent.len()],
+                    1 => (x >> 16) % 64 * 512,
+                    _ => (x >> 16) % 4096,
+                };
+                recent[step % recent.len()] = line;
+                if x.is_multiple_of(7) {
+                    for (f, r) in flat.iter_mut().zip(&mut reference) {
+                        assert_eq!(f.access(line), r.access(line), "fill of line {line}");
+                    }
+                    continue;
+                }
+                let (mut hits_flat, mut lat_flat) = (Vec::new(), h.dram_latency);
+                for f in flat.iter_mut() {
+                    hits_flat.push(f.access(line));
+                    if hits_flat.last() == Some(&true) {
+                        lat_flat = f.latency;
+                        break;
+                    }
+                }
+                let (mut hits_ref, mut lat_ref) = (Vec::new(), h.dram_latency);
+                for (r, spec) in reference.iter_mut().zip(&specs) {
+                    hits_ref.push(r.access(line));
+                    if hits_ref.last() == Some(&true) {
+                        lat_ref = spec.latency;
+                        break;
+                    }
+                }
+                assert_eq!(
+                    (hits_flat, lat_flat),
+                    (hits_ref, lat_ref),
+                    "step {step}: line {line}"
+                );
+            }
+            for (f, r) in flat.iter().zip(&reference) {
+                for (set, ways) in r.sets.iter().enumerate() {
+                    let base = set * f.assoc;
+                    assert_eq!(&f.tags[base..base + f.len[set] as usize], &ways[..]);
+                }
+            }
+        }
+    }
 
     fn sim() -> CacheSim {
         CacheSim::new(&MachineSpec::sandy_bridge().caches)

@@ -16,10 +16,12 @@
 //! failures, and resume must replay decisions in the order they were
 //! made — so *committing* results is strictly sequential. Evaluation,
 //! however, is pure when no faults are being injected, and runs
-//! speculatively in parallel: workers measure candidates into private
-//! [`Collector`]s, and the sequential commit loop merges each worker's
-//! telemetry ([`replay_into`]) at the candidate's slot in commit order.
-//! Journal bytes, rankings, counters and events are bit-for-bit
+//! speculatively in parallel waves: workers measure candidates into
+//! private [`Collector`]s, and the sequential commit loop merges each
+//! worker's telemetry ([`replay_into`]) at the candidate's slot in commit
+//! order. A speculated result the commit loop has no use for (its
+//! candidate is pruned, or its family circuit-broken) is discarded
+//! unseen. Journal bytes, rankings, counters and events are bit-for-bit
 //! identical to a sequential sweep. With an enabled [`Injector`] the
 //! sweep stays fully sequential, because injected faults (`Trigger::Nth`
 //! counters in particular) are order-dependent by design.
@@ -33,8 +35,9 @@
 //!   recorded transform log is replayed through `augem-depan`'s
 //!   proof-carrying checker ([`reject_logged`]), in parallel; a `T`-rule
 //!   error rejects the candidate before it is simulated.
-//! * **Bounds** ([`ResilOptions::prune`]). `augem-cost` computes a
-//!   provable lower bound on every candidate's simulated cycles, which
+//! * **Bounds** ([`ResilOptions::prune`]). `augem-cost` computes, next
+//!   to each parallel pre-build, a provable lower bound on every
+//!   candidate's simulated cycles, which
 //!   converts into a provable *upper* bound on its Mflops. Candidates
 //!   are then committed best-first (descending bound) and each one whose
 //!   bound falls strictly below the best measurement committed so far is
@@ -43,8 +46,10 @@
 //!   survives; results are re-assembled in candidate order before
 //!   ranking, so the winner, the tie-breaking and the best measurement
 //!   are bit-for-bit those of the exhaustive sweep
-//!   (`tests/cost_pruning.rs`). Pruning depends on commit order, so it
-//!   disables speculation, like an enabled injector does.
+//!   (`tests/cost_pruning.rs`). Each wave speculates only on candidates
+//!   whose bound reaches the committed incumbent, one per worker, so a
+//!   pruned sweep simulates few more candidates than a sequential one
+//!   would, in parallel.
 //!
 //! A candidate whose pre-build failed is committed with that build
 //! failure; its pipeline is not run again.
@@ -93,9 +98,9 @@ pub struct ResilOptions {
     /// measurement are unchanged (the bound is sound and the cut
     /// strict); pruned candidates are journaled with outcome `"pruned"`,
     /// and the journal follows the best-first commit order, so a resumed
-    /// sweep replays the same decisions bit-for-bit. Pruning depends on
-    /// commit order, so it disables the speculative parallel phase, like
-    /// an enabled injector does.
+    /// sweep replays the same decisions bit-for-bit. Evaluation still
+    /// runs in parallel: waves of one candidate per worker, speculated in
+    /// bound order and committed in it.
     pub prune: bool,
     /// Reject candidates whose transform chain `augem-depan` cannot
     /// prove legal, before they are simulated. The verdicts come from a
@@ -302,7 +307,10 @@ pub fn sweep<C: Candidate + Copy>(
     // built through the cache in parallel, each into a private collector
     // replayed at its commit. The bound phase needs every candidate —
     // journaled ones included, so a resumed sweep commits in the original
-    // order — the legality phase only the fresh ones.
+    // order — the legality phase only the fresh ones. Each build's static
+    // bound is computed in the same closure; only the analysis is timed
+    // (the builds are shared with the evaluation), and `bound_ns` sums
+    // the per-candidate analysis times.
     let mut built: Vec<(usize, Arc<LoggedBuild>, Collector)> = Vec::new();
     if opts.prune || opts.check_legality {
         let wanted: Vec<usize> = (0..n).filter(|&i| opts.prune || fresh[i]).collect();
@@ -310,10 +318,30 @@ pub fn sweep<C: Candidate + Copy>(
             .par_iter()
             .map(|&i| {
                 let local = Collector::new();
-                (i, cache.logged(&candidates[i], machine, &local), local)
+                let build = cache.logged(&candidates[i], machine, &local);
+                let bound = match &build {
+                    Ok(b) if opts.prune => {
+                        let _c = span(&local, stage::COST);
+                        let (args, useful) = candidates[i].eval_args();
+                        let a0 = Instant::now();
+                        // The analyzer declining to bound a kernel is not
+                        // a candidate failure — it just can't be pruned.
+                        let ub = augem_cost::analyze(&b.asm, &args, machine)
+                            .ok()
+                            .map(|r| ub_mflops(r.lower_bound_cycles, useful, machine.turbo_ghz));
+                        Some((ub, a0.elapsed().as_nanos() as u64))
+                    }
+                    _ => None,
+                };
+                (i, build, local, bound)
             })
             .collect();
-        for (i, build, local) in builds {
+        for (i, build, local, bound) in builds {
+            if let Some((ub, ns)) = bound {
+                pre[i].bound = ub;
+                stats.bound_ns += ns;
+                stats.analyzed += 1;
+            }
             match build {
                 Ok(b) => built.push((i, b, local)),
                 Err(e) => {
@@ -321,6 +349,10 @@ pub fn sweep<C: Candidate + Copy>(
                     pre[i].telemetry = Some(local);
                 }
             }
+        }
+        if opts.prune {
+            tracer.add("cost.analyzed", stats.analyzed as u64);
+            tracer.add("cost.bound_ns", stats.bound_ns);
         }
     }
 
@@ -344,25 +376,6 @@ pub fn sweep<C: Candidate + Copy>(
         tracer.add("depan.rejected", stats.rejected as u64);
         tracer.add("depan.check_ns", stats.check_ns);
     }
-
-    // Bound phase: a static bound for every built candidate. Only the
-    // analysis is timed; the builds are shared with the evaluation.
-    if opts.prune {
-        let _c = span(tracer, stage::COST);
-        for (i, build, _) in &built {
-            let (args, useful) = candidates[*i].eval_args();
-            let a0 = Instant::now();
-            // The analyzer declining to bound a kernel is not a candidate
-            // failure — it just can't be pruned.
-            pre[*i].bound = augem_cost::analyze(&build.asm, &args, machine)
-                .ok()
-                .map(|r| ub_mflops(r.lower_bound_cycles, useful, machine.turbo_ghz));
-            stats.bound_ns += a0.elapsed().as_nanos() as u64;
-        }
-        stats.analyzed = built.len();
-        tracer.add("cost.analyzed", stats.analyzed as u64);
-        tracer.add("cost.bound_ns", stats.bound_ns);
-    }
     for (i, _, local) in built {
         pre[i].telemetry = Some(local);
     }
@@ -376,39 +389,39 @@ pub fn sweep<C: Candidate + Copy>(
         order.sort_by(|&a, &b| key(b).total_cmp(&key(a)));
     }
 
-    // Speculative parallel evaluation. Injected faults are
-    // order-dependent (`Trigger::Nth` counters advance per probe), and
-    // pruning decisions depend on the best measurement committed *so
-    // far*, so either keeps the sweep sequential; otherwise evaluation
-    // is pure and fans out. Candidates a tripped breaker later skips are
-    // wasted speculation — their results and telemetry are discarded
-    // unseen.
-    if !injector.is_enabled() && !opts.prune {
-        let wanted: Vec<usize> = (0..n)
-            .filter(|&i| fresh[i] && pre[i].build_error.is_none() && pre[i].rejection.is_none())
-            .collect();
-        let done: Vec<(usize, Speculated)> = wanted
-            .par_iter()
-            .map(|&i| {
-                let c = &candidates[i];
-                let local = Collector::new();
-                let t0 = Instant::now();
-                let outcome = with_retry(&opts.retry, &local, &tags[i], |_attempt| {
-                    let r = sandboxed(|| cache.evaluate(c, machine, &local, opts.step_limit))
-                        .map_err(EvalError::Panicked)
-                        .and_then(|r| r);
-                    if let Err(e) = &r {
-                        local.add(e.class().counter(), 1);
-                    }
-                    r
-                });
-                (i, (outcome, t0.elapsed().as_nanos() as u64, local))
-            })
-            .collect();
-        for (i, s) in done {
-            pre[i].speculated = Some(s);
-        }
-    }
+    // Speculative evaluation: pure when no fault is injected, so workers
+    // measure candidates ahead of the commit loop into private collectors
+    // (`Trigger::Nth` counters advance per probe, so an enabled injector
+    // keeps every evaluation inline and in commit order). When a commit
+    // needs a measurement nobody has taken yet, a wave of candidates is
+    // evaluated in parallel: that one plus the next ones in commit order
+    // that the current state says will need one — fresh, built, not
+    // rejected, family circuit closed, bound not below the incumbent.
+    // The whole remaining space forms the first wave of an unpruned
+    // sweep. A pruned sweep's incumbent rises with every commit, so its
+    // waves hold one candidate per worker. A speculated result whose
+    // candidate the commit later prunes or skips is discarded unseen.
+    let speculate = !injector.is_enabled();
+    let wave_cap = if opts.prune {
+        rayon::current_num_threads()
+    } else {
+        n
+    };
+    let evaluate = |i: usize| -> Speculated {
+        let c = &candidates[i];
+        let local = Collector::new();
+        let t0 = Instant::now();
+        let outcome = with_retry(&opts.retry, &local, &tags[i], |_attempt| {
+            let r = sandboxed(|| cache.evaluate(c, machine, &local, opts.step_limit))
+                .map_err(EvalError::Panicked)
+                .and_then(|r| r);
+            if let Err(e) = &r {
+                local.add(e.class().counter(), 1);
+            }
+            r
+        });
+        (outcome, t0.elapsed().as_nanos() as u64, local)
+    };
 
     let breaker = CircuitBreaker::new(opts.breaker_threshold);
     let mut slots: Vec<Option<Result<Evaluation, String>>> = (0..n).map(|_| None).collect();
@@ -419,11 +432,11 @@ pub fn sweep<C: Candidate + Copy>(
     // decision with exactly the state the original sweep had.
     let mut best_mflops = f64::NEG_INFINITY;
 
-    for &i in &order {
+    for (k, &i) in order.iter().enumerate() {
         let c = &candidates[i];
         let tag = tags[i].as_str();
         let family = c.family();
-        let p = std::mem::take(&mut pre[i]);
+        let mut p = std::mem::take(&mut pre[i]);
 
         // Checkpoint replay: a journaled outcome is final — restore it
         // (and its effect on the breaker) without re-simulating.
@@ -535,6 +548,34 @@ pub fn sweep<C: Candidate + Copy>(
             append_maybe_corrupted(journal, injector, tag, entry);
             slots[i] = Some(Err(why));
             continue;
+        }
+
+        // Nobody has measured this candidate yet: evaluate its wave.
+        if speculate && p.build_error.is_none() && p.speculated.is_none() {
+            let mut wave = vec![i];
+            for &j in &order[k + 1..] {
+                if wave.len() >= wave_cap {
+                    break;
+                }
+                let q = &pre[j];
+                if fresh[j]
+                    && q.build_error.is_none()
+                    && q.rejection.is_none()
+                    && q.speculated.is_none()
+                    && q.bound.is_none_or(|ub| ub >= best_mflops)
+                    && !breaker.is_open(&candidates[j].family())
+                {
+                    wave.push(j);
+                }
+            }
+            let done: Vec<Speculated> = wave.par_iter().map(|&j| evaluate(j)).collect();
+            for (&j, s) in wave.iter().zip(done) {
+                if j == i {
+                    p.speculated = Some(s);
+                } else {
+                    pre[j].speculated = Some(s);
+                }
+            }
         }
 
         let outcome = if let Some(e) = p.build_error {

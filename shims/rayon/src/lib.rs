@@ -3,18 +3,21 @@
 //! The build environment has no network access to crates.io, so this
 //! workspace-local package provides the (small) slice of rayon's API the
 //! repo actually uses — `par_iter`/`par_iter_mut`, `filter_map`, `zip`,
-//! `for_each`, `collect` — with the same semantics: closures run across
-//! OS threads via `std::thread::scope`, and results keep slice order.
+//! `for_each`, `collect`, `current_num_threads` — with the same semantics:
+//! closures run across OS threads via `std::thread::scope`, and results
+//! keep slice order.
 //!
 //! It is intentionally minimal, not a general parallel-iterator library;
 //! grow it as call sites need more of the real rayon surface.
 
 #![forbid(unsafe_code)]
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
-/// How many worker threads to fan out over (one per available core).
-fn workers() -> usize {
+/// How many worker threads a parallel call fans out over (one per
+/// available core), as in rayon.
+pub fn current_num_threads() -> usize {
     thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -140,7 +143,7 @@ impl<T: Sync, U: Send> ParZipMut<'_, T, U> {
         let n = self.a.len().min(self.b.len());
         let a = &self.a[..n];
         let b = &mut self.b[..n];
-        let nw = workers().min(n.max(1));
+        let nw = current_num_threads().min(n.max(1));
         let chunk = n.div_ceil(nw.max(1)).max(1);
         thread::scope(|s| {
             let mut rest: &mut [U] = b;
@@ -168,7 +171,7 @@ fn par_chunked<F: Fn(usize, usize) + Sync>(n: usize, f: F) {
     if n == 0 {
         return;
     }
-    let nw = workers().min(n);
+    let nw = current_num_threads().min(n);
     let chunk = n.div_ceil(nw).max(1);
     thread::scope(|s| {
         let mut lo = 0;
@@ -181,36 +184,42 @@ fn par_chunked<F: Fn(usize, usize) + Sync>(n: usize, f: F) {
     });
 }
 
-/// Order-preserving parallel filter-map over a slice.
+/// Order-preserving parallel filter-map over a slice. Workers pull the
+/// next index from a shared counter, so uneven item costs balance across
+/// threads instead of one fixed range per worker setting the makespan.
 fn par_collect<'a, T: Sync, R: Send>(
     items: &'a [T],
     f: impl Fn(&'a T) -> Option<R> + Sync,
 ) -> Vec<R> {
     let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let nw = workers().min(n);
+    let nw = current_num_threads().min(n);
     if nw <= 1 {
         return items.iter().filter_map(f).collect();
     }
-    let chunk = n.div_ceil(nw).max(1);
-    let mut parts: Vec<Vec<R>> = Vec::new();
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
     thread::scope(|s| {
-        let mut handles = Vec::new();
-        let mut lo = 0;
-        while lo < n {
-            let hi = (lo + chunk).min(n);
-            let f = &f;
-            let part = &items[lo..hi];
-            handles.push(s.spawn(move || part.iter().filter_map(f).collect::<Vec<R>>()));
-            lo = hi;
-        }
+        let handles: Vec<_> = (0..nw)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return done;
+                        }
+                        done.push((i, f(&items[i])));
+                    }
+                })
+            })
+            .collect();
         for h in handles {
-            parts.push(h.join().expect("rayon shim worker panicked"));
+            for (i, r) in h.join().expect("rayon shim worker panicked") {
+                slots[i] = r;
+            }
         }
     });
-    parts.into_iter().flatten().collect()
+    slots.into_iter().flatten().collect()
 }
 
 #[cfg(test)]

@@ -108,3 +108,66 @@ fn vector_bound_is_sound_for_every_candidate_on_both_machines() {
         }
     }
 }
+
+/// The walk behind every bound reproduces the simulator's control flow
+/// exactly, closed-form loop skips included: per-pc execution counts
+/// and per-branch taken streaks equal those of a traced functional run,
+/// for every candidate of every kernel family on both machines.
+#[test]
+fn walk_counts_match_the_simulated_trace_for_every_candidate() {
+    fn check(
+        asm: &augem_asm::AsmKernel,
+        args: Vec<augem_sim::SimValue>,
+        m: &MachineSpec,
+        at: &str,
+    ) {
+        let prog = augem_sim::decode(asm, m.isa.has(augem_machine::IsaFeature::Avx))
+            .unwrap_or_else(|e| panic!("decode failed for {at}: {e:?}"));
+        let w = augem_cost::walk::walk(&prog, asm, &args, augem_cost::DEFAULT_WALK_BUDGET)
+            .unwrap_or_else(|e| panic!("walk failed for {at}: {e:?}"));
+        assert!(w.complete, "walk incomplete for {at}");
+        let (_, trace) = augem_sim::FuncSim::new(m.isa)
+            .with_trace()
+            .run_decoded(&prog, asm, args)
+            .unwrap_or_else(|e| panic!("sim failed for {at}: {e:?}"));
+        let pcs = &trace.inst_indices;
+        let mut counts = vec![0u64; prog.len()];
+        let (mut run, mut max_run) = (vec![0u64; prog.len()], vec![0u64; prog.len()]);
+        for (k, &pc) in pcs.iter().enumerate() {
+            let pc = pc as usize;
+            counts[pc] += 1;
+            if matches!(
+                asm.insts[pc],
+                augem_asm::XInst::Jl(_) | augem_asm::XInst::Jge(_)
+            ) {
+                // Taken iff the next traced pc is not the fall-through;
+                // a run that ends on a branch jumped past the last pc.
+                let taken = pcs
+                    .get(k + 1)
+                    .map_or(pc + 1 < prog.len(), |&next| next as usize != pc + 1);
+                if taken {
+                    run[pc] += 1;
+                    max_run[pc] = max_run[pc].max(run[pc]);
+                } else {
+                    run[pc] = 0;
+                }
+            }
+        }
+        assert_eq!(w.counts, counts, "per-pc counts differ for {at}");
+        assert_eq!(w.max_runs, max_run, "taken streaks differ for {at}");
+    }
+    for m in machines() {
+        for cfg in gemm_candidates(&m) {
+            if let Ok(asm) = cfg.build_traced(&m, augem_obs::null()) {
+                check(&asm, gemm_eval_args(&cfg).0, &m, &cfg.tag());
+            }
+        }
+        for kernel in VECTOR_KERNELS {
+            for cfg in vector_candidates(kernel, &m) {
+                if let Ok(asm) = cfg.build_traced(&m, augem_obs::null()) {
+                    check(&asm, vector_eval_args(&cfg).0, &m, &cfg.tag());
+                }
+            }
+        }
+    }
+}

@@ -387,14 +387,26 @@ fn sweep(
     (entries, ranking)
 }
 
+/// Instruction budget that the cheaper GEMM candidates fit in and the
+/// more deeply unrolled ones exhaust (their dynamic instruction counts
+/// straddle it on both machines).
+const STRADDLING_BUDGET: u64 = 10_000;
+
 /// The parallel sweep (disabled injector) must produce byte-identical
 /// journal entries and bit-identical rankings to the sequential path,
 /// which an enabled-but-never-firing injection rule forces — with the
-/// parallel legality phase on, and under the best-first commit order of
-/// the pruned sweep.
+/// parallel legality phase on, under the best-first commit order of the
+/// pruned sweep, and with a budget that trips the breaker mid-sweep so
+/// that speculated evaluations are discarded.
 #[test]
 fn parallel_sweep_matches_sequential_journal_and_ranking() {
     let fast = ResilOptions::fast();
+    let tripping = ResilOptions {
+        prune: true,
+        step_limit: Some(STRADDLING_BUDGET),
+        breaker_threshold: 2,
+        ..fast
+    };
     let option_sets = [
         fast,
         ResilOptions {
@@ -405,6 +417,7 @@ fn parallel_sweep_matches_sequential_journal_and_ranking() {
             prune: true,
             ..fast
         },
+        tripping,
     ];
     for (machine, opts) in machines()
         .iter()
@@ -427,6 +440,18 @@ fn parallel_sweep_matches_sequential_journal_and_ranking() {
         assert_eq!(pj, sj, "journal bytes differ on {at}");
         assert_eq!(pr, sr, "ranking differs on {at}");
         assert!(!pj.is_empty(), "empty journal");
+        if opts.step_limit == tripping.step_limit {
+            // Some candidates fit the budget, some exhaust it, and the
+            // breaker skips the rest of a failing family.
+            for outcome in ["ok", "err", "skipped"] {
+                let needle = format!("\"outcome\":\"{outcome}\"");
+                assert!(
+                    pj.iter().any(|e| e.contains(&needle)),
+                    "no {outcome} entry on {at}: {pj:#?}"
+                );
+            }
+            continue;
+        }
         // Every option set answers with the plain sweep's ranking.
         let (_, plain) = sweep(machine, &fast, &parallel);
         if !opts.prune {
